@@ -21,8 +21,10 @@ from . import zoo
 from .certificates import automaton_from_json, certificate_from_json, check_certificate
 from .equivalence import (
     approx_bisim,
+    approx_verdict,
     bind_env,
     build_lts,
+    check_scenario,
     discretize,
     lipschitz_estimate,
     strong_bisim,
@@ -120,13 +122,10 @@ def _load_scenarios(path):
     return out or [None]
 
 
-def _approx_chunk(task):
-    """Worker for --jobs: re-parses both files, checks one scenario slice."""
-    (file_a, file_b, eps, delta, horizon, step, seed, observe, scenarios) = task
-    p, q = _load_entry(file_a), _load_entry(file_b)
-    cfg = SimConfig(horizon=horizon, integrator=IntegratorConfig(step=step), seed=seed)
-    v = approx_bisim(p, q, eps, delta, cfg, scenarios=scenarios, observe=observe)
-    return v.to_dict()
+def _approx_scenario(task):
+    """Worker for --jobs: re-parses both files, checks one scenario."""
+    file_a, file_b, cfg, observe, sc = task
+    return check_scenario(_load_entry(file_a), _load_entry(file_b), cfg, sc, observe)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -185,36 +184,19 @@ def cmd_bisim(args) -> int:
 
 def cmd_approx(args) -> int:
     scenarios = _load_scenarios(args.scenarios)
+    # parsed here even when workers re-parse: a ParseError raised in a
+    # worker cannot be unpickled and would break the pool
+    p, q = _load_entry(args.file_a), _load_entry(args.file_b)
+    cfg = _sim_config(args)
+    observe = tuple(args.observe or ())
     if args.jobs > 1 and len(scenarios) > 1:
-        chunks = [scenarios[i :: args.jobs] for i in range(args.jobs)]
-        chunks = [c for c in chunks if c]
-        tasks = [
-            (args.file_a, args.file_b, args.eps, args.delta,
-             args.horizon if args.horizon is not None else 10.0,
-             args.step if args.step is not None else 1e-3,
-             args.seed, tuple(args.observe or ()), c)
-            for c in chunks
-        ]
+        tasks = [(args.file_a, args.file_b, cfg, observe, sc) for sc in scenarios]
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            partials = list(ex.map(_approx_chunk, tasks))
-        report = {
-            "status": "consistent",
-            "eps": args.eps,
-            "delta": args.delta,
-            "scenarios": len(scenarios),
-            "max_distance": max(p["max_distance"] for p in partials),
-            "max_skew": max(p["max_skew"] for p in partials),
-        }
-        for p in partials:
-            if p["status"] == "refuted":
-                report["status"] = "refuted"
-                report["counterexample"] = p.get("counterexample")
-                break
+            v = approx_verdict(ex.map(_approx_scenario, tasks), args.eps, args.delta, len(scenarios))
+            ex.shutdown(cancel_futures=True)  # scenarios after a refutation go unread
     else:
-        p, q = _load_entry(args.file_a), _load_entry(args.file_b)
-        cfg = _sim_config(args)
-        v = approx_bisim(p, q, args.eps, args.delta, cfg, scenarios=scenarios, observe=tuple(args.observe or ()))
-        report = v.to_dict()
+        v = approx_bisim(p, q, args.eps, args.delta, cfg, scenarios=scenarios, observe=observe)
+    report = v.to_dict()
     if args.out:
         with open(args.out, "w") as f:
             f.write(json.dumps(report, indent=2))

@@ -21,8 +21,6 @@ from .kernel import (
     Concretion,
     ContinuousUnsupported,
     InL,
-    OutL,
-    Proc,
     TauL,
     discrete_transitions,
 )
@@ -48,9 +46,7 @@ from .syntax import (
     Substitution,
     SubstitutionError,
     Sum,
-    Tau,
     Var,
-    b_eq,
     b_ge,
     b_le,
     canonical_key,
@@ -191,7 +187,7 @@ def _merged_edges(a: LTS, b: LTS):
     return edges
 
 
-def _refine(edges: dict, seeds) -> dict:
+def _refine(edges: dict) -> dict:
     block = {s: 0 for s in edges}
     while True:
         sigs = {}
@@ -214,7 +210,7 @@ def strong_bisim(a: LTS, b: LTS):
     """Coarsest strong bisimulation over the disjoint union; returns
     (initials related, partition as key -> block id)."""
     edges = _merged_edges(a, b)
-    block = _refine(edges, None)
+    block = _refine(edges)
     return block[("a", a.initial)] == block[("b", b.initial)], block
 
 
@@ -250,7 +246,7 @@ def _saturate(edges: dict) -> dict:
 
 def weak_bisim(a: LTS, b: LTS):
     edges = _saturate(_merged_edges(a, b))
-    block = _refine(edges, None)
+    block = _refine(edges)
     return block[("a", a.initial)] == block[("b", b.initial)], block
 
 
@@ -279,6 +275,7 @@ class ApproxVerdict:
             "max_skew": self.max_skew,
             "scenarios": self.scenarios,
             "counterexample": self.counterexample,
+            "per_scenario": self.per_scenario,
         }
 
 
@@ -305,6 +302,47 @@ def _total_evolve(trace) -> float:
     return sum(ev.values[0] for ev in trace if ev.kind == "Evolve")
 
 
+def check_scenario(p: Process, q: Process, cfg: SimConfig, sc, observe: Sequence[str] = ()) -> dict:
+    """Co-simulate p and q under one scenario: the evolution-time skew, the
+    largest distance on an observed variable and that variable."""
+    rp = simulate(p, cfg, bind_env(p, sc))
+    rq = simulate(q, cfg, bind_env(q, sc))
+    skew = abs(_total_evolve(rp.trace) - _total_evolve(rq.trace))
+    dist = 0.0
+    worst_var = None
+    for var in observe:
+        t1, v1 = trajectory_series(rp.segments, var)
+        t2, v2 = trajectory_series(rq.segments, var)
+        if len(t1) == 0 and len(t2) == 0:
+            raise HpiError(f"observed variable {var!r} not found in either system")
+        if len(t1) == 0 or len(t2) == 0:
+            raise HpiError(f"observed variable {var!r} missing from one system")
+        end = min(t1[-1], t2[-1])
+        grid = np.unique(np.concatenate([t1[t1 <= end], t2[t2 <= end]]))
+        a = np.interp(grid, t1, v1)
+        b = np.interp(grid, t2, v2)
+        d = float(np.max(np.abs(a - b))) if len(grid) else 0.0
+        if d > dist:
+            dist, worst_var = d, var
+    return {"skew": skew, "distance": dist, "variable": worst_var}
+
+
+def approx_verdict(checks, eps: float, delta: float, scenarios: int) -> ApproxVerdict:
+    """Fold per-scenario checks, in scenario order, into one verdict; the
+    first scenario beyond a tolerance refutes and ends the fold."""
+    verdict = ApproxVerdict("consistent", eps, delta, scenarios=scenarios)
+    slack = 1e-6  # numerical slack on top of the declared tolerances
+    for idx, c in enumerate(checks):
+        verdict.max_skew = max(verdict.max_skew, c["skew"])
+        verdict.max_distance = max(verdict.max_distance, c["distance"])
+        verdict.per_scenario.append({"scenario": idx, "distance": c["distance"], "skew": c["skew"]})
+        if c["skew"] > delta + slack or c["distance"] > eps + slack:
+            verdict.status = "refuted"
+            verdict.counterexample = {"scenario": idx, **c}
+            break
+    return verdict
+
+
 def approx_bisim(
     p: Process,
     q: Process,
@@ -314,41 +352,8 @@ def approx_bisim(
     scenarios: Sequence = (None,),
     observe: Sequence[str] = (),
 ) -> ApproxVerdict:
-    verdict = ApproxVerdict("consistent", eps, delta, scenarios=len(scenarios))
-    slack = 1e-6  # numerical slack on top of the declared tolerances
-    for idx, sc in enumerate(scenarios):
-        rp = simulate(p, cfg, bind_env(p, sc))
-        rq = simulate(q, cfg, bind_env(q, sc))
-        skew = abs(_total_evolve(rp.trace) - _total_evolve(rq.trace))
-        verdict.max_skew = max(verdict.max_skew, skew)
-        dist = 0.0
-        worst_var = None
-        for var in observe:
-            t1, v1 = trajectory_series(rp.segments, var)
-            t2, v2 = trajectory_series(rq.segments, var)
-            if len(t1) == 0 and len(t2) == 0:
-                raise HpiError(f"observed variable {var!r} not found in either system")
-            if len(t1) == 0 or len(t2) == 0:
-                raise HpiError(f"observed variable {var!r} missing from one system")
-            end = min(t1[-1], t2[-1])
-            grid = np.unique(np.concatenate([t1[t1 <= end], t2[t2 <= end]]))
-            a = np.interp(grid, t1, v1)
-            b = np.interp(grid, t2, v2)
-            d = float(np.max(np.abs(a - b))) if len(grid) else 0.0
-            if d > dist:
-                dist, worst_var = d, var
-        verdict.max_distance = max(verdict.max_distance, dist)
-        verdict.per_scenario.append({"scenario": idx, "distance": dist, "skew": skew})
-        if skew > delta + slack or dist > eps + slack:
-            verdict.status = "refuted"
-            verdict.counterexample = {
-                "scenario": idx,
-                "skew": skew,
-                "distance": dist,
-                "variable": worst_var,
-            }
-            return verdict
-    return verdict
+    checks = (check_scenario(p, q, cfg, sc, observe) for sc in scenarios)
+    return approx_verdict(checks, eps, delta, len(scenarios))
 
 
 # ---------------------------------------------------------------------------

@@ -12,22 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .syntax import (
     BAnd,
     BFalse,
-    BNot,
     BoolExpr,
     Const,
     Expr,
     HpiError,
     Less,
     Name,
-    Op,
-    ReadySet,
     Var,
 )
 
@@ -125,10 +122,6 @@ def eval_bool(b: BoolExpr, s: Optional[State] = None):
         return l and r
     a = eval_bool(b.arg, s)
     return UNDEFINED if isinstance(a, _Undefined) else not a
-
-
-def ready_dual(r: ReadySet) -> ReadySet:
-    return r.dual()
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,15 @@
 
 Discrete transitions take a process to an agent (a process, an abstraction
 awaiting values, or a concretion carrying values).  Continuous evolution
-integrates every active ODE cell jointly with fixed-step RK4, localizes
-boundary crossings by bisection, and composes the per-cell flows into one
-closed contract.
+integrates every active ODE cell jointly, as one system, with fixed-step
+RK4 and localizes boundary crossings by bisection; the assumption/guarantee
+contract of a step is built from the joint flow only when asked for.
 """
 
 from __future__ import annotations
 
-import math
-import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from . import flows as fl
 from .syntax import (
     BAnd,
     BFalse,
-    BNot,
     BoolExpr,
     Call,
     Const,
@@ -31,10 +28,8 @@ from .syntax import (
     Input,
     Less,
     Name,
-    Op,
     Output,
     Parallel,
-    Prefix,
     Process,
     ReadySet,
     Replication,
@@ -49,7 +44,10 @@ from .syntax import (
     fresh,
     fresh_like,
     is_nil,
+    memo,
+    prune,
     refresh,
+    retag,
     substitute,
 )
 
@@ -195,11 +193,6 @@ def restrict_agent(x: Name, a: Agent) -> Agent:
     return Concretion(a.restricted, a.payload, Restriction(x, a.body))
 
 
-def ion_normalize(a: Agent) -> Agent:
-    """Agents built by this module are already in ion normal form."""
-    return a
-
-
 def apply(f: Abstraction, c: Concretion) -> Process:
     if len(f.binders) != len(c.payload):
         raise HpiError(
@@ -267,74 +260,85 @@ def _sum_transitions(p: Sum, res: Enumeration):
     return out
 
 
-# Process nodes are immutable and successor terms share untouched subtrees,
-# so per-node enumerations are cached by object identity.  Replication
-# copies (and their unfold tags) freeze on first enumeration; reruns start
-# from a refreshed root, so the numbering stays reproducible.
-_TRANS_CACHE: dict = {}
-_NESTED_REP_CACHE: dict = {}
+def _has_replication(p: Process) -> bool:
+    if isinstance(p, Replication):
+        return True
+    if isinstance(p, Parallel):
+        return _has_replication(p.left) or _has_replication(p.right)
+    if isinstance(p, Restriction):
+        return _has_replication(p.body)
+    if isinstance(p, Sum):
+        return any(_has_replication(c) for _, c in p.branches)
+    return False
 
 
 def _spawns_replications(p: Process) -> bool:
     """True when p is a replication whose copies carry replications of
     their own (a factory of stateful instances, not a plain loop)."""
-    if not isinstance(p, Replication):
-        return False
-    key = id(p)
-    hit = _NESTED_REP_CACHE.get(key)
-    if hit is not None and hit[0]() is p:
-        return hit[1]
-
-    def walk(q: Process) -> bool:
-        if isinstance(q, Replication):
-            return True
-        if isinstance(q, Parallel):
-            return walk(q.left) or walk(q.right)
-        if isinstance(q, Restriction):
-            return walk(q.body)
-        if isinstance(q, Sum):
-            return any(walk(c) for _, c in q.branches)
-        return False
-
-    out = walk(p.body)
-    try:
-        _NESTED_REP_CACHE[key] = (weakref.ref(p, lambda _, k=key, c=_NESTED_REP_CACHE: c.pop(k, None)), out)
-    except TypeError:
-        pass
-    return out
+    return isinstance(p, Replication) and memo(p, "_spawns", lambda r: _has_replication(r.body))
 
 
+# Process nodes are immutable and successor terms share untouched subtrees,
+# so each node memoises its enumeration (see syntax.memo) together with the
+# depth, diagnostics and truncation it was computed with.  Replication
+# copies (and their unfold tags) freeze on first enumeration; reruns start
+# from a refreshed root, so the numbering stays reproducible.
 def _trans(p: Process, depth: int, res: Enumeration) -> list:
     if _spawns_replications(p):
-        # never cached: each instance spawned by such a factory must carry
+        # never memoised: each instance spawned by such a factory must carry
         # a fresh unfold stamp so its own events stay distinguishable
         return _trans_inner(p, depth, res)
-    key = id(p)
-    hit = _TRANS_CACHE.get(key)
-    if hit is not None and hit[0]() is p and hit[1] == depth:
-        for d in hit[3]:
-            if d not in res.diagnostics:
-                res.diagnostics.append(d)
-        res.truncated = res.truncated or hit[4]
-        return hit[2]
-    ndiag = len(res.diagnostics)
-    was_truncated = res.truncated
-    res.truncated = False
-    out = _trans_inner(p, depth, res)
-    diags = tuple(res.diagnostics[ndiag:])
-    truncated = res.truncated
-    res.truncated = was_truncated or truncated
-    try:
-        _TRANS_CACHE[key] = (
-            weakref.ref(p, lambda _, k=key, c=_TRANS_CACHE: c.pop(k, None)),
-            depth,
-            out,
-            diags,
-            truncated,
-        )
-    except TypeError:
-        pass
+
+    def compute(p: Process) -> tuple:
+        ndiag = len(res.diagnostics)
+        was_truncated = res.truncated
+        res.truncated = False
+        out = _trans_inner(p, depth, res)
+        entry = (depth, out, tuple(res.diagnostics[ndiag:]), res.truncated)
+        res.truncated = was_truncated
+        return entry
+
+    _, out, diags, truncated = memo(p, "_trans", compute, lambda hit: hit[0] == depth)
+    for d in diags:
+        if d not in res.diagnostics:
+            res.diagnostics.append(d)
+    res.truncated = res.truncated or truncated
     return out
+
+
+def _lift(t: Transition, agent: Agent) -> Transition:
+    return Transition(t.label, agent, t.kind, t.chan, t.payload, t.tags)
+
+
+def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list:
+    """Communications between a transition of `lefts` and one of `rights`,
+    left-major; `persist` (a replication) is kept in parallel with each
+    merged target."""
+    out = []
+    for tl in lefts:
+        for tr in rights:
+            if isinstance(tl.label, InL) and isinstance(tr.label, OutL) and tl.label.chan == tr.label.chan:
+                fi, co = tl, tr
+            elif isinstance(tl.label, OutL) and isinstance(tr.label, InL) and tl.label.chan == tr.label.chan:
+                fi, co = tr, tl
+            else:
+                continue
+            merged = apply(_as_abstraction(fi.agent), _as_concretion(co.agent))
+            if persist is not None:
+                merged = Parallel(merged, persist)
+            kind = "sync"
+            if "sense" in (tl.kind, tr.kind):
+                kind = "sense"
+            elif "actuate" in (tl.kind, tr.kind):
+                kind = "actuate"
+            out.append(Transition(TauL(), Proc(merged), kind, co.chan, co.payload, tl.tags + tr.tags))
+    return out
+
+
+def _unfold(p: Replication, res: Enumeration) -> Process:
+    """A fresh copy of p's body, its tags stamped with a new unfold index."""
+    res.counter[0] += 1
+    return retag(refresh(p.body), f"#{res.counter[0]}")
 
 
 def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
@@ -343,98 +347,30 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
     if isinstance(p, Parallel):
         lefts = _trans(p.left, depth, res)
         rights = _trans(p.right, depth, res)
-        out = []
-        for t in lefts:
-            out.append(Transition(t.label, par_agent(t.agent, p.right, True), t.kind, t.chan, t.payload, t.tags))
-        for t in rights:
-            out.append(Transition(t.label, par_agent(t.agent, p.left, False), t.kind, t.chan, t.payload, t.tags))
-        for tl in lefts:
-            for tr in rights:
-                if isinstance(tl.label, InL) and isinstance(tr.label, OutL) and tl.label.chan == tr.label.chan:
-                    co = tr
-                    merged = apply(_as_abstraction(tl.agent), _as_concretion(tr.agent))
-                elif isinstance(tl.label, OutL) and isinstance(tr.label, InL) and tl.label.chan == tr.label.chan:
-                    co = tl
-                    merged = apply(_as_abstraction(tr.agent), _as_concretion(tl.agent))
-                else:
-                    continue
-                kind = "sync"
-                if "sense" in (tl.kind, tr.kind):
-                    kind = "sense"
-                elif "actuate" in (tl.kind, tr.kind):
-                    kind = "actuate"
-                out.append(
-                    Transition(TauL(), Proc(merged), kind, co.chan, co.payload, tl.tags + tr.tags)
-                )
-        return out
+        out = [_lift(t, par_agent(t.agent, p.right, True)) for t in lefts]
+        out += [_lift(t, par_agent(t.agent, p.left, False)) for t in rights]
+        return out + _syncs(lefts, rights)
     if isinstance(p, Restriction):
         inner = _trans(p.body, depth, res)
-        out = []
-        for t in inner:
-            if isinstance(t.label, (InL, OutL)) and t.label.chan == p.name:
-                continue
-            out.append(Transition(t.label, restrict_agent(p.name, t.agent), t.kind, t.chan, t.payload, t.tags))
-        return out
+        return [
+            _lift(t, restrict_agent(p.name, t.agent))
+            for t in inner
+            if not (isinstance(t.label, (InL, OutL)) and t.label.chan == p.name)
+        ]
     if isinstance(p, Replication):
         if depth <= 0:
             res.truncated = True
             return []
         # lazy unfolding: one copy covers single-participant transitions, a
         # second covers syncs between two copies; !P itself persists in targets
-        c1 = _retag(refresh(p.body), res.counter)
-        base = _trans(c1, depth - 1, res)
-        out = [
-            Transition(t.label, par_agent(t.agent, p, True), t.kind, t.chan, t.payload, t.tags)
-            for t in base
-        ]
-        chans = {t.label.chan for t in base if not isinstance(t.label, TauL)}
-        if chans:
-            c2 = _retag(refresh(p.body), res.counter)
-            second = _trans(c2, depth - 1, res)
-            for tl in base:
-                for tr in second:
-                    if isinstance(tl.label, InL) and isinstance(tr.label, OutL) and tl.label.chan == tr.label.chan:
-                        fi, co = tl, tr
-                    elif isinstance(tl.label, OutL) and isinstance(tr.label, InL) and tl.label.chan == tr.label.chan:
-                        fi, co = tr, tl
-                    else:
-                        continue
-                    merged = apply(_as_abstraction(fi.agent), _as_concretion(co.agent))
-                    kind = "sync"
-                    if "sense" in (tl.kind, tr.kind):
-                        kind = "sense"
-                    elif "actuate" in (tl.kind, tr.kind):
-                        kind = "actuate"
-                    out.append(
-                        Transition(TauL(), Proc(Parallel(merged, p)), kind, co.chan, co.payload, tl.tags + tr.tags)
-                    )
+        base = _trans(_unfold(p, res), depth - 1, res)
+        out = [_lift(t, par_agent(t.agent, p, True)) for t in base]
+        if any(not isinstance(t.label, TauL) for t in base):
+            out += _syncs(base, _trans(_unfold(p, res), depth - 1, res), persist=p)
         return out
     if isinstance(p, Call):
         raise HpiError(f"unresolved call to {p.defname!r}")
     raise TypeError(p)
-
-
-def _retag(p: Process, counter: list) -> Process:
-    """Stamp the tags of a replication copy with a fresh unfold index."""
-    counter[0] += 1
-    k = counter[0]
-
-    def go(q: Process) -> Process:
-        if isinstance(q, Sum):
-            branches = tuple((pi, go(c)) for pi, c in q.branches)
-            tag = f"{q.tag}#{k}" if q.tag else None
-            return Sum(branches, tag=tag)
-        if isinstance(q, Restriction):
-            return Restriction(q.name, go(q.body))
-        if isinstance(q, Parallel):
-            return Parallel(go(q.left), go(q.right))
-        if isinstance(q, Replication):
-            # stamp nested bodies too, so unfold lineage composes: a copy
-            # spawned inside copy #k carries #k#m, keeping instances apart
-            return Replication(go(q.body))
-        return q
-
-    return go(p)
 
 
 def _as_abstraction(a: Agent) -> Abstraction:
@@ -690,17 +626,31 @@ class StopInfo:
 @dataclass
 class ContinuousResult:
     duration: float
-    contract: Optional[fl.Contract]  # visible assumption/guarantee flow; None for a zero-duration stop
     ready: ReadySet
     process: Process
     stops: list
     full_flow: Optional[fl.Flow]  # every cell variable, restricted ones included
     diagnostics: list
+    restricted: frozenset = frozenset()  # names bound by a restriction in the process
+    assumed: dict = field(default_factory=dict)  # environment value of each external name
+
+    @property
+    def contract(self) -> Optional[fl.Contract]:
+        """The visible assumption/guarantee flow, built from full_flow on
+        demand; None for a zero-duration stop."""
+        if self.duration <= 0:
+            return None
+        if self.full_flow is None:
+            return fl.closed_contract(fl.empty_flow(self.duration))
+        visible = tuple(n for n in self.full_flow.names if n not in self.restricted)
+        g = self.full_flow.project(visible) if visible else fl.empty_flow(self.duration)
+        a = fl.constant_flow(tuple(self.assumed), self.assumed, self.duration)
+        return fl.Contract(a, g)
 
 
 def _rebuild(p: Process, repl: dict) -> Process:
-    # subtrees without a replaced cell come back as the same object so
-    # identity-keyed caches stay warm
+    # subtrees without a replaced cell come back as the same object, so
+    # their memoised enumerations stay warm
     r = repl.get(id(p))
     if r is not None:
         return r
@@ -740,7 +690,7 @@ def continuous_step(
         raise UrgencyViolation(f"discrete step enabled ({what}: {detail})")
     if sv.blocked:
         return None  # a component with no applicable rule blocks evolution
-    if not sv.cells and not ready and is_nil(_strip(p)):
+    if not sv.cells and not ready and is_nil(prune(p)):
         return None
 
     cells = sv.cells
@@ -765,15 +715,7 @@ def continuous_step(
 
     if not cells:
         # pure waiting: an empty flow of the full horizon
-        return ContinuousResult(
-            horizon,
-            fl.closed_contract(fl.empty_flow(horizon)),
-            ready,
-            p,
-            [],
-            None,
-            sv.diagnostics,
-        )
+        return ContinuousResult(horizon, ready, p, [], None, sv.diagnostics)
 
     vars_ = tuple(all_vars)
     init_state: dict = dict(env)
@@ -857,12 +799,6 @@ def continuous_step(
     return _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop, status_ok, ready, sv)
 
 
-def _strip(p: Process) -> Process:
-    from .syntax import prune
-
-    return prune(p)
-
-
 def _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop, ok, ready, sv):
     duration = t_stop
     stops = []
@@ -885,23 +821,8 @@ def _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop
                 repl[id(c.site)] = c.cont
             stops.append(StopInfo(c.tag, dict(zip(c.prefix.vars, vals)), c.prefix.binders))
     successor = _rebuild(p, repl)
-
-    if duration > 0:
-        grid = np.asarray(times)
-        vals_arr = np.asarray(samples)
-        full = fl.Flow(tuple(vars_), grid, vals_arr)
-        visible = tuple(n for n in vars_ if n not in sv.restricted)
-        g = full.project(visible) if visible else fl.empty_flow(duration)
-        if env_names:
-            a = fl.Flow(
-                tuple(env_names),
-                np.array([0.0, duration]),
-                np.vstack([np.asarray(env_vals), np.asarray(env_vals)]),
-            )
-        else:
-            a = fl.empty_flow(duration)
-        contract = fl.Contract(a, g)
-    else:
-        full = None
-        contract = None
-    return ContinuousResult(duration, contract, ready, successor, stops, full, sv.diagnostics)
+    full = fl.Flow(tuple(vars_), np.asarray(times), np.asarray(samples)) if duration > 0 else None
+    return ContinuousResult(
+        duration, ready, successor, stops, full, sv.diagnostics,
+        frozenset(sv.restricted), dict(zip(env_names, env_vals)),
+    )

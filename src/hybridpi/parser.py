@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .syntax import (
     BAnd,
@@ -68,6 +68,7 @@ from .syntax import (
     fresh,
     is_nil,
     refresh,
+    retag,
     substitute,
 )
 
@@ -406,7 +407,7 @@ class _Parser:
                 f"{nm.text} expects {len(params)} argument(s), got {len(args)}", nm.line, nm.col
             )
         self.inst[0] += 1
-        inst = _retag_instance(refresh(body), self.inst[0])
+        inst = retag(refresh(body), f"@{self.inst[0]}")
         if params:
             try:
                 inst = substitute(inst, Substitution(dict(zip(params, args))))
@@ -667,21 +668,6 @@ def _graft(p: Process, cont: Process) -> Process:
     if isinstance(p, Restriction):
         return Restriction(p.name, _graft(p.body, cont))
     raise HpiError("definition is not sequential; cannot take a continuation")
-
-
-def _retag_instance(p: Process, k: int) -> Process:
-    def go(q: Process) -> Process:
-        if isinstance(q, Sum):
-            return Sum(tuple((pi, go(c)) for pi, c in q.branches), tag=f"{q.tag}@{k}" if q.tag else None)
-        if isinstance(q, Restriction):
-            return Restriction(q.name, go(q.body))
-        if isinstance(q, Parallel):
-            return Parallel(go(q.left), go(q.right))
-        if isinstance(q, Replication):
-            return Replication(go(q.body))
-        return q
-
-    return go(p)
 
 
 def parse(text: str, names: Optional[dict] = None) -> ModelFile:

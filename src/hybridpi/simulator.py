@@ -8,20 +8,18 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import flows as fl
 from .kernel import (
-    ContinuousResult,
     IntegratorConfig,
     TauL,
     discrete_transitions,
     continuous_step,
-    survey,
 )
-from .syntax import HpiError, Name, Process, expr_names, bool_names, is_nil, prune, refresh
+from .syntax import HpiError, Process, is_nil, prune, refresh
 
 
 @dataclass
@@ -212,29 +210,6 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
         t = cfg.horizon
 
     return SimResult(trace, segments, status, p, min(t, cfg.horizon), None, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Closure analysis
-# ---------------------------------------------------------------------------
-
-
-def is_closed_for_evolution(p: Process, env_names: Sequence[Name] = ()) -> tuple:
-    """True iff every name an ODE reads is guaranteed by some cell (or given
-    by the environment).  Returns (ok, report)."""
-    sv, _ = survey(p)
-    own = set()
-    used = set()
-    for c in sv.cells:
-        own |= set(c.prefix.vars)
-        for e in c.prefix.fields:
-            used |= expr_names(e)
-        used |= bool_names(c.prefix.boundary)
-    missing = used - own - set(env_names)
-    if missing:
-        names = ", ".join(sorted(n.display for n in missing))
-        return False, f"unassumed variables: {names}"
-    return True, "closed"
 
 
 # ---------------------------------------------------------------------------

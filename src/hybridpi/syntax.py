@@ -4,16 +4,17 @@ Processes are immutable trees built from sums of prefixed continuations,
 restriction, parallel composition and replication.  Names carry globally
 unique integer ids; alpha-renaming mints fresh ids from a session counter so
 the Barendregt convention (free and bound names disjoint) can be maintained
-mechanically.
+mechanically.  Derived facts (free names, enumerations, structural flags) are
+memoised in each node's own ``__dict__``, so a node must never be mutated
+or copied.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import weakref
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 class HpiError(Exception):
@@ -219,10 +220,6 @@ class ReadySet:
         return "{" + ", ".join(parts) + "}"
 
 
-def ready(*items: tuple[Name, bool]) -> ReadySet:
-    return ReadySet(frozenset(items))
-
-
 # ---------------------------------------------------------------------------
 # Prefixes
 # ---------------------------------------------------------------------------
@@ -318,16 +315,6 @@ def is_nil(p: Process) -> bool:
     return isinstance(p, Sum) and not p.branches
 
 
-def par(*ps: Process) -> Process:
-    """Right-nested parallel composition; empty product is inaction."""
-    if not ps:
-        return NIL
-    out = ps[-1]
-    for p in reversed(ps[:-1]):
-        out = Parallel(p, out)
-    return out
-
-
 def restrict(names: Sequence[Name], body: Process) -> Process:
     for n in reversed(list(names)):
         body = Restriction(n, body)
@@ -336,6 +323,24 @@ def restrict(names: Sequence[Name], body: Process) -> Process:
 
 def prefixed(pi: Prefix, cont: Process, tag: Optional[str] = None) -> Sum:
     return Sum(((pi, cont),), tag=tag)
+
+
+_UNSET = object()
+
+
+def memo(p: Process, key: str, compute: Callable, valid: Optional[Callable] = None):
+    """The derived fact ``key`` of node p: ``compute(p)`` on first use, then
+    the value kept as an attribute in p's own instance dict.  Dataclass
+    equality, hashing, repr and ``replace`` read only the declared fields,
+    so the memo is invisible to them, and it dies with its node.  A kept
+    value that ``valid`` rejects is recomputed and replaced."""
+    hit = getattr(p, key, _UNSET)
+    if hit is _UNSET or (valid is not None and not valid(hit)):
+        hit = compute(p)
+        # set past the frozen-dataclass guard; reading p.__dict__ instead
+        # would materialise a dict and slow every later field access
+        object.__setattr__(p, key, hit)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +373,8 @@ def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]
     raise TypeError(pi)
 
 
-# Process nodes are immutable, so free-name sets can be cached per object.
-# Keyed by id with a liveness check; evicted when the node is collected.
-_FN_CACHE: dict = {}
-
-
 def free_names(p: Process) -> frozenset[Name]:
-    key = id(p)
-    hit = _FN_CACHE.get(key)
-    if hit is not None and hit[0]() is p:
-        return hit[1]
-    out = _free_names(p)
-    try:
-        _FN_CACHE[key] = (weakref.ref(p, lambda _, k=key, c=_FN_CACHE: c.pop(k, None)), out)
-    except TypeError:
-        pass
-    return out
+    return memo(p, "_free_names", _free_names)
 
 
 def _free_names(p: Process) -> frozenset[Name]:
@@ -403,27 +394,6 @@ def _free_names(p: Process) -> frozenset[Name]:
         for e in p.args:
             out |= expr_names(e)
         return out
-    raise TypeError(p)
-
-
-def bound_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, Sum):
-        out: set[Name] = set()
-        for pi, cont in p.branches:
-            out |= bound_names(cont)
-            if isinstance(pi, Input):
-                out |= set(pi.binders)
-            elif isinstance(pi, Continuous):
-                out |= set(pi.binders)
-        return frozenset(out)
-    if isinstance(p, Restriction):
-        return bound_names(p.body) | {p.name}
-    if isinstance(p, Parallel):
-        return bound_names(p.left) | bound_names(p.right)
-    if isinstance(p, Replication):
-        return bound_names(p.body)
-    if isinstance(p, Call):
-        return frozenset()
     raise TypeError(p)
 
 
@@ -465,11 +435,6 @@ class Substitution:
         dropped = set(names)
         return Substitution({k: v for k, v in self.mapping.items() if k not in dropped})
 
-    def extend(self, extra: dict[Name, Expr]) -> "Substitution":
-        m = dict(self.mapping)
-        m.update(extra)
-        return Substitution(m)
-
 
 def subst_expr(e: Expr, s: Substitution) -> Expr:
     if isinstance(e, Const):
@@ -490,12 +455,9 @@ def subst_bool(b: BoolExpr, s: Substitution) -> BoolExpr:
     return BNot(subst_bool(b.arg, s))
 
 
-def _avoid_capture(binders: tuple[Name, ...], body_sub, s: Substitution):
-    """Adjust a binder vector against s; returns (binders, inner substitution).
-
-    ``body_sub`` is a callable applying a substitution to the binder scope,
-    used when binders must be alpha-renamed.
-    """
+def _avoid_capture(binders: tuple[Name, ...], s: Substitution):
+    """Adjust a binder vector against s; returns (binders, inner
+    substitution, renaming of the binder scope or None)."""
     s = s.drop(binders)
     if not s:
         return binders, s, None
@@ -514,7 +476,7 @@ def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Pr
         return pi, substitute(cont, s)
     if isinstance(pi, Input):
         chan = s.name_for(pi.chan, "channel")
-        binders, inner, rename = _avoid_capture(pi.binders, None, s)
+        binders, inner, rename = _avoid_capture(pi.binders, s)
         body = substitute(cont, rename) if rename else cont
         return Input(chan, binders), substitute(body, inner)
     if isinstance(pi, Output):
@@ -528,7 +490,7 @@ def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Pr
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_bool(pi.boundary, s)
         rdy = ReadySet(frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready))
-        binders, inner, rename = _avoid_capture(pi.binders, None, s)
+        binders, inner, rename = _avoid_capture(pi.binders, s)
         body = substitute(cont, rename) if rename else cont
         return Continuous(init, vars_, fields, boundary, rdy, binders), substitute(body, inner)
     raise TypeError(pi)
@@ -537,14 +499,14 @@ def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Pr
 def substitute(p: Process, s: Substitution) -> Process:
     if not s:
         return p
-    # untouched subtrees come back as the same object, keeping
-    # identity-keyed caches warm across transitions
+    # untouched subtrees come back as the same object, keeping their
+    # memos warm across transitions
     if free_names(p).isdisjoint(s.mapping):
         return p
     if isinstance(p, Sum):
         return Sum(tuple(subst_prefix(pi, cont, s) for pi, cont in p.branches), tag=p.tag)
     if isinstance(p, Restriction):
-        binders, inner, rename = _avoid_capture((p.name,), None, s)
+        binders, inner, rename = _avoid_capture((p.name,), s)
         body = substitute(p.body, rename) if rename else p.body
         return Restriction(binders[0], substitute(body, inner))
     if isinstance(p, Parallel):
@@ -607,6 +569,26 @@ def refresh(p: Process) -> Process:
         raise TypeError(pi)
 
     return go(p, {})
+
+
+def retag(p: Process, suffix: str) -> Process:
+    """Append ``suffix`` to every sum tag of p, nested replication bodies
+    included, so the events of one unfolded copy or inlined instance stay
+    apart (a copy spawned inside copy #k carries #k#m)."""
+
+    def go(q: Process) -> Process:
+        if isinstance(q, Sum):
+            branches = tuple((pi, go(c)) for pi, c in q.branches)
+            return Sum(branches, tag=f"{q.tag}{suffix}" if q.tag else None)
+        if isinstance(q, Restriction):
+            return Restriction(q.name, go(q.body))
+        if isinstance(q, Parallel):
+            return Parallel(go(q.left), go(q.right))
+        if isinstance(q, Replication):
+            return Replication(go(q.body))
+        return q
+
+    return go(p)
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +699,7 @@ def struct_congruent(p: Process, q: Process) -> bool:
 
 
 def prune(p: Process) -> Process:
-    # returns p itself when nothing changes so downstream identity-keyed
-    # caches stay warm
+    # returns p itself when nothing changes so the memos on it stay warm
     if isinstance(p, Parallel):
         l = prune(p.left)
         r = prune(p.right)

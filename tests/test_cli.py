@@ -96,6 +96,31 @@ def test_approx_refuted_and_jobs_merge(hpc, tmp_path):
     assert rep["status"] == "refuted" and rep["counterexample"]["variable"] == "x"
 
 
+def test_approx_report_is_the_same_for_every_jobs_value(hpc, tmp_path):
+    a = hpc("a.hpc", "run {0 | x' = u & x < 100};")
+    b = hpc("b.hpc", "run {0 | x' = 1 & x < 100};")
+    sc = hpc("sc.json", json.dumps([{"u": 1}, {"u": 1}, {"u": 5}]))
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report{jobs}.json"
+        rc = main(["approx", a, b, "--eps", "0.5", "--delta", "10", "--observe", "x",
+                   "--scenarios", sc, "--horizon", "2", "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["counterexample"]["scenario"] == 2
+    assert [s["scenario"] for s in reports[0]["per_scenario"]] == [0, 1, 2]
+
+
+def test_approx_jobs_parse_error_is_model_exit(hpc, capsys):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    bad = hpc("bad.hpc", "run a!<;")
+    sc = hpc("sc.json", json.dumps([{}, {}]))
+    assert main(["approx", a, bad, "--eps", "1", "--delta", "1", "--scenarios", sc,
+                 "--horizon", "1", "--jobs", "2"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_discretize_emits_runnable_model(hpc, tmp_path):
     f = hpc("cell.hpc", "run {1 | v' = v & v < 99};")
     out = tmp_path / "disc.hpc"
