@@ -92,12 +92,14 @@ def _write_artifacts(res, args) -> None:
             f.write(trajectory_to_csv(res.segments))
 
 
-def _summary(res) -> str:
+def _report(res) -> None:
+    for kind, where in res.diagnostics:
+        print(f"warning: {kind}" + (f" at {where}" if where else ""), file=sys.stderr)
     parts = [f"status={res.status}", f"end={res.end_time:.6g}s", f"events={len(res.trace)}"]
     if res.zeno and res.zeno.flagged:
         acc = res.zeno.accumulation
         parts.append(f"zeno accumulation~{acc:.4g}s" if acc else "zeno")
-    return " ".join(parts)
+    print(" ".join(parts), file=sys.stderr)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -148,7 +150,7 @@ def cmd_simulate(args) -> int:
     cfg = _sim_config(args)
     res = simulate(p, cfg, env=bind_env(p, _env_pairs(args.env) or None))
     _write_artifacts(res, args)
-    print(_summary(res), file=sys.stderr)
+    _report(res)
     return EXIT_OK
 
 
@@ -275,7 +277,7 @@ def cmd_models(args) -> int:
     env = _env_pairs(args.env) or inst.entry.env
     res = simulate(p, cfg, env=bind_env(p, env) if env else None)
     _write_artifacts(res, args)
-    print(_summary(res), file=sys.stderr)
+    _report(res)
     return EXIT_OK
 
 
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     except (HpiError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_MODEL
+    except RecursionError:
+        print("error: term nested too deeply for the recursion limit", file=sys.stderr)
         return EXIT_MODEL
 
 

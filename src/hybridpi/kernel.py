@@ -9,6 +9,7 @@ contract of a step is built from the joint flow only when asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -47,7 +48,6 @@ from .syntax import (
     memo,
     prune,
     refresh,
-    retag,
     substitute,
 )
 
@@ -282,7 +282,8 @@ def _spawns_replications(p: Process) -> bool:
 # so each node memoises its enumeration (see syntax.memo) together with the
 # depth, diagnostics and truncation it was computed with.  Replication
 # copies (and their unfold tags) freeze on first enumeration; reruns start
-# from a refreshed root, so the numbering stays reproducible.
+# from a refreshed root, so the numbering stays reproducible.  A second
+# copy is built only where two copies can synchronise (see _trans_inner).
 def _trans(p: Process, depth: int, res: Enumeration) -> list:
     if _spawns_replications(p):
         # never memoised: each instance spawned by such a factory must carry
@@ -338,7 +339,7 @@ def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list
 def _unfold(p: Replication, res: Enumeration) -> Process:
     """A fresh copy of p's body, its tags stamped with a new unfold index."""
     res.counter[0] += 1
-    return retag(refresh(p.body), f"#{res.counter[0]}")
+    return refresh(p.body, f"#{res.counter[0]}")
 
 
 def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
@@ -351,22 +352,39 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         out += [_lift(t, par_agent(t.agent, p.left, False)) for t in rights]
         return out + _syncs(lefts, rights)
     if isinstance(p, Restriction):
-        inner = _trans(p.body, depth, res)
-        return [
-            _lift(t, restrict_agent(p.name, t.agent))
-            for t in inner
-            if not (isinstance(t.label, (InL, OutL)) and t.label.chan == p.name)
-        ]
+        # a chain of restrictions in one pass: drop the transitions on any
+        # of its names, then wrap the rest innermost name first
+        names = []
+        while isinstance(p, Restriction):
+            names.append(p.name)
+            p = p.body
+        hidden = set(names)
+        out = []
+        for t in _trans(p, depth, res):
+            if not (isinstance(t.label, (InL, OutL)) and t.label.chan in hidden):
+                agent = t.agent
+                for n in reversed(names):
+                    agent = restrict_agent(n, agent)
+                out.append(_lift(t, agent))
+        return out
     if isinstance(p, Replication):
         if depth <= 0:
             res.truncated = True
             return []
-        # lazy unfolding: one copy covers single-participant transitions, a
-        # second covers syncs between two copies; !P itself persists in targets
+        # lazy unfolding: one copy covers single-participant transitions;
+        # !P itself persists in targets.  Copies are alpha-equivalent with
+        # free-name labels, so a second copy (for copy-to-copy syncs) is
+        # built only if the first has an input and an output on one channel.
+        # Else the counter skips the stamps it and its nested unfolds would
+        # have drawn, so every later stamp keeps its number.
+        before = res.counter[0]
         base = _trans(_unfold(p, res), depth - 1, res)
         out = [_lift(t, par_agent(t.agent, p, True)) for t in base]
-        if any(not isinstance(t.label, TauL) for t in base):
+        ins = {t.label.chan for t in base if isinstance(t.label, InL)}
+        if any(isinstance(t.label, OutL) and t.label.chan in ins for t in base):
             out += _syncs(base, _trans(_unfold(p, res), depth - 1, res), persist=p)
+        elif any(not isinstance(t.label, TauL) for t in base):
+            res.counter[0] += res.counter[0] - before
         return out
     if isinstance(p, Call):
         raise HpiError(f"unresolved call to {p.defname!r}")
@@ -795,6 +813,9 @@ def continuous_step(
         samples.append(y_stop)
     elif samples[-1] != y_stop:
         samples[-1] = y_stop
+    if not all(map(math.isfinite, y_stop)):  # checked where the step ends, not per RK4 step
+        t_bad = next(tt for tt, yy in zip(times, samples) if not all(map(math.isfinite, yy)))
+        raise UndefinedDynamics(f"state not finite {t_bad:.6g} s into the evolution (blow-up)")
 
     return _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop, status_ok, ready, sv)
 

@@ -68,7 +68,6 @@ from .syntax import (
     fresh,
     is_nil,
     refresh,
-    retag,
     substitute,
 )
 
@@ -407,7 +406,7 @@ class _Parser:
                 f"{nm.text} expects {len(params)} argument(s), got {len(args)}", nm.line, nm.col
             )
         self.inst[0] += 1
-        inst = retag(refresh(body), f"@{self.inst[0]}")
+        inst = refresh(body, f"@{self.inst[0]}")
         if params:
             try:
                 inst = substitute(inst, Substitution(dict(zip(params, args))))

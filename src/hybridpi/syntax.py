@@ -518,15 +518,29 @@ def substitute(p: Process, s: Substitution) -> Process:
     raise TypeError(p)
 
 
-def refresh(p: Process) -> Process:
-    """Alpha-rename every binder to a fresh id (restores Barendregt)."""
+class _Renaming(Substitution):
+    """A binder renaming that reads refresh's environment dict as needed,
+    through ``lookup`` only, so no substitution is built per branch."""
+
+    def __init__(self, env: dict[Name, Name]):
+        self.mapping = env
+
+    def lookup(self, n: Name) -> Optional[Expr]:
+        m = self.mapping.get(n)
+        return None if m is None else Var(m)
+
+
+def refresh(p: Process, suffix: Optional[str] = None) -> Process:
+    """Alpha-rename every binder to a fresh id (restores Barendregt).  With
+    a ``suffix``, the same pass appends it to every sum tag, nested
+    replication bodies included, so the events of one unfolded copy or
+    inlined instance stay apart (a copy spawned inside copy #k carries
+    #k#m)."""
 
     def go(p: Process, env: dict[Name, Name]) -> Process:
         if isinstance(p, Sum):
-            out = []
-            for pi, cont in p.branches:
-                out.append(go_branch(pi, cont, env))
-            return Sum(tuple(out), tag=p.tag)
+            tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
+            return Sum(tuple(go_branch(pi, cont, env) for pi, cont in p.branches), tag=tag)
         if isinstance(p, Restriction):
             n2 = fresh_like(p.name)
             env2 = dict(env)
@@ -537,12 +551,11 @@ def refresh(p: Process) -> Process:
         if isinstance(p, Replication):
             return Replication(go(p.body, env))
         if isinstance(p, Call):
-            s = Substitution({k: Var(v) for k, v in env.items()})
+            s = _Renaming(env)
             return Call(p.defname, tuple(subst_expr(e, s) for e in p.args))
         raise TypeError(p)
 
     def go_branch(pi: Prefix, cont: Process, env: dict[Name, Name]):
-        s = Substitution({k: Var(v) for k, v in env.items()})
         if isinstance(pi, Tau):
             return pi, go(cont, env)
         if isinstance(pi, Input):
@@ -551,6 +564,7 @@ def refresh(p: Process) -> Process:
             env2 = dict(env)
             env2.update(zip(pi.binders, binders))
             return Input(chan, binders), go(cont, env2)
+        s = _Renaming(env)
         if isinstance(pi, Output):
             return Output(env.get(pi.chan, pi.chan),
                           tuple(subst_expr(e, s) for e in pi.payload)), go(cont, env)
@@ -569,26 +583,6 @@ def refresh(p: Process) -> Process:
         raise TypeError(pi)
 
     return go(p, {})
-
-
-def retag(p: Process, suffix: str) -> Process:
-    """Append ``suffix`` to every sum tag of p, nested replication bodies
-    included, so the events of one unfolded copy or inlined instance stay
-    apart (a copy spawned inside copy #k carries #k#m)."""
-
-    def go(q: Process) -> Process:
-        if isinstance(q, Sum):
-            branches = tuple((pi, go(c)) for pi, c in q.branches)
-            return Sum(branches, tag=f"{q.tag}{suffix}" if q.tag else None)
-        if isinstance(q, Restriction):
-            return Restriction(q.name, go(q.body))
-        if isinstance(q, Parallel):
-            return Parallel(go(q.left), go(q.right))
-        if isinstance(q, Replication):
-            return Replication(go(q.body))
-        return q
-
-    return go(p)
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,28 @@ def test_seed_env_variable_sets_default(hpc, monkeypatch, capsys):
 
     args = build_parser().parse_args(["simulate", "x.hpc"])
     assert args.seed == 11
+
+
+def test_blow_up_is_model_exit_naming_the_time(hpc, tmp_path, capsys):
+    f = hpc("blow.hpc", "run {1 | x' = x*x};")
+    traj = tmp_path / "x.csv"
+    assert main(["simulate", f, "--horizon", "2", "--out-traj", str(traj)]) == 3
+    err = capsys.readouterr().err
+    assert "not finite 1.003 s into the evolution" in err
+    assert not traj.exists()
+
+
+def test_deep_term_is_model_exit_not_a_traceback(hpc, capsys):
+    f = hpc("deep.hpc", "run " + "tau . " * 600 + "0;")
+    assert main(["simulate", f, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_simulate_prints_diagnostics_as_warnings(hpc, capsys):
+    # the second copy is not built, so the guard is reported once, for copy #1
+    f = hpc("g.hpc", "run (repl ([x < 1] . b!<> + a() . 0)) || (a!<> . a!<>);")
+    assert main(["simulate", f, "--horizon", "1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: undefined-guard at run:1:12#1"
+    assert err[1].startswith("status=horizon")
