@@ -50,6 +50,7 @@ from .syntax import (
     b_ge,
     b_le,
     canonical_key,
+    constructs,
     free_names,
     fresh,
     prune,
@@ -62,20 +63,6 @@ from .syntax import (
 
 # shared placeholders so extruded private names compare equal across systems
 _PRIV = [fresh(f"priv{i}") for i in range(8)]
-
-
-def _has_continuous(p: Process) -> bool:
-    if isinstance(p, Sum):
-        return any(
-            isinstance(pi, Continuous) or _has_continuous(c) for pi, c in p.branches
-        )
-    if isinstance(p, Restriction):
-        return _has_continuous(p.body)
-    if isinstance(p, Parallel):
-        return _has_continuous(p.left) or _has_continuous(p.right)
-    if isinstance(p, Replication):
-        return _has_continuous(p.body)
-    return False
 
 
 @dataclass
@@ -94,7 +81,7 @@ def build_lts(
     max_states: int = 4000,
     repl_depth: int = 4,
 ) -> LTS:
-    if _has_continuous(p):
+    if Continuous in constructs(p):
         raise ContinuousUnsupported("LTS construction covers discrete fragments only")
     p0 = prune(refresh(p))
     init = canonical_key(p0, flatten=True)

@@ -4,7 +4,10 @@ Discrete transitions take a process to an agent (a process, an abstraction
 awaiting values, or a concretion carrying values).  Continuous evolution
 integrates every active ODE cell jointly, as one system, with fixed-step
 RK4 and localizes boundary crossings by bisection; the assumption/guarantee
-contract of a step is built from the joint flow only when asked for.
+contract of a step is built from the joint flow only when asked for.  The
+system's RK4 stepper is compiled once per shape: the generated source of
+its fields and boundaries, over positional state, environment and constant
+parameters, is the key of the stepper cache.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .syntax import (
     BAnd,
     BFalse,
     BoolExpr,
-    Call,
     Const,
     Continuous,
     Expr,
@@ -40,6 +42,7 @@ from .syntax import (
     Tau,
     Var,
     bool_names,
+    constructs,
     expr_names,
     free_names,
     fresh,
@@ -260,22 +263,10 @@ def _sum_transitions(p: Sum, res: Enumeration):
     return out
 
 
-def _has_replication(p: Process) -> bool:
-    if isinstance(p, Replication):
-        return True
-    if isinstance(p, Parallel):
-        return _has_replication(p.left) or _has_replication(p.right)
-    if isinstance(p, Restriction):
-        return _has_replication(p.body)
-    if isinstance(p, Sum):
-        return any(_has_replication(c) for _, c in p.branches)
-    return False
-
-
 def _spawns_replications(p: Process) -> bool:
     """True when p is a replication whose copies carry replications of
     their own (a factory of stateful instances, not a plain loop)."""
-    return isinstance(p, Replication) and memo(p, "_spawns", lambda r: _has_replication(r.body))
+    return isinstance(p, Replication) and Replication in constructs(p.body)
 
 
 # Process nodes are immutable and successor terms share untouched subtrees,
@@ -386,8 +377,6 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         elif any(not isinstance(t.label, TauL) for t in base):
             res.counter[0] += res.counter[0] - before
         return out
-    if isinstance(p, Call):
-        raise HpiError(f"unresolved call to {p.defname!r}")
     raise TypeError(p)
 
 
@@ -496,8 +485,6 @@ def _survey(p: Process, sv: Survey) -> ReadySet:
         if clash:
             sv.urgent.append(("match", clash.describe()))
         return r
-    if isinstance(p, Call):
-        raise HpiError(f"unresolved call to {p.defname!r}")
     raise TypeError(p)
 
 
@@ -513,21 +500,26 @@ def ready_set(p: Process) -> ReadySet:
 
 
 # ---------------------------------------------------------------------------
-# Compiled RK4 steppers, cached per ODE-system shape
+# Compiled RK4 steppers, cached per ODE-system shape.  The generated source
+# of the fields and boundaries is the only description of a system: state
+# variables are X{i}, environment names E{j} and numeric constants K{k}
+# (parameters, in walk order), so the key is the vector sizes and those
+# source strings, and every system of one shape shares one stepper.
 # ---------------------------------------------------------------------------
 
 
-def _expr_src(e: Expr, names: dict) -> str:
+def _expr_src(e: Expr, names: dict, consts: list) -> str:
     if isinstance(e, Const):
         if not isinstance(e.value, (int, float)) or isinstance(e.value, bool):
             raise UndefinedDynamics(f"non-numeric constant {e.value!r} in dynamics")
-        return repr(float(e.value))
+        consts.append(float(e.value))
+        return f"K{len(consts) - 1}"
     if isinstance(e, Var):
         try:
             return names[e.name]
         except KeyError:
             raise OpenSystem(f"unbound continuous name {e.name.display!r}") from None
-    a = [_expr_src(x, names) for x in e.args]
+    a = [_expr_src(x, names, consts) for x in e.args]
     if e.op in ("+", "-", "*", "/"):
         return f"({a[0]} {e.op} {a[1]})"
     if e.op == "sqrt":
@@ -541,80 +533,56 @@ def _expr_src(e: Expr, names: dict) -> str:
     raise ValueError(e.op)
 
 
-def _bool_src(b: BoolExpr, names: dict) -> str:
+def _bool_src(b: BoolExpr, names: dict, consts: list) -> str:
     if isinstance(b, BFalse):
         return "False"
     if isinstance(b, Less):
-        return f"({_expr_src(b.lhs, names)} < {_expr_src(b.rhs, names)})"
+        return f"({_expr_src(b.lhs, names, consts)} < {_expr_src(b.rhs, names, consts)})"
     if isinstance(b, BAnd):
-        return f"({_bool_src(b.lhs, names)} and {_bool_src(b.rhs, names)})"
-    return f"(not {_bool_src(b.arg, names)})"
+        return f"({_bool_src(b.lhs, names, consts)} and {_bool_src(b.rhs, names, consts)})"
+    return f"(not {_bool_src(b.arg, names, consts)})"
 
 
 _compiled_cache: dict = {}
 
 
-def _compile_system(vars_: tuple, fields: tuple, boundaries: tuple, env_names: tuple):
-    n = len(vars_)
-    m = len(env_names)
-
-    def maps(prefix: str) -> dict:
-        d = {v: f"{prefix}{i}" for i, v in enumerate(vars_)}
-        d.update({e: f"E{j}" for j, e in enumerate(env_names)})
-        return d
-
-    ys = [f"Y{i}" for i in range(n)]
-    lines = ["import math", "def _make(env):"]
-    if m:
-        lines.append("    (" + ", ".join(f"E{j}" for j in range(m)) + ",) = env")
-    lines.append(f"    def step({', '.join(ys)}, dt):")
-    my = maps("Y")
-    for i in range(n):
-        lines.append(f"        A{i} = {_expr_src(fields[i], my)}")
-    for i in range(n):
-        lines.append(f"        P{i} = Y{i} + 0.5*dt*A{i}")
-    mp = maps("P")
-    for i in range(n):
-        lines.append(f"        B{i} = {_expr_src(fields[i], mp)}")
-    for i in range(n):
-        lines.append(f"        Q{i} = Y{i} + 0.5*dt*B{i}")
-    mq = maps("Q")
-    for i in range(n):
-        lines.append(f"        C{i} = {_expr_src(fields[i], mq)}")
-    for i in range(n):
-        lines.append(f"        R{i} = Y{i} + dt*C{i}")
-    mr = maps("R")
-    for i in range(n):
-        lines.append(f"        D{i} = {_expr_src(fields[i], mr)}")
+def _compile_system(n: int, m: int, k: int, fields: tuple, boundaries: tuple):
+    """``make(env, consts) -> (step, bounds)`` for field and boundary
+    sources over X0..X{n-1}, E0..E{m-1} and K0..K{k-1}."""
+    lines = ["import math", "def _make(env, consts):"]
+    for prefix, size, arg in (("E", m, "env"), ("K", k, "consts")):
+        if size:
+            lines.append("    (" + ", ".join(f"{prefix}{j}" for j in range(size)) + f",) = {arg}")
+    lines.append(f"    def step({', '.join(f'Y{i}' for i in range(n))}, dt):")
+    lines += [f"        X{i} = Y{i}" for i in range(n)]
+    # each stage evaluates the same field sources at X, then moves X on
+    for slope, move in (("A", "0.5*dt*A"), ("B", "0.5*dt*B"), ("C", "dt*C"), ("D", None)):
+        lines += [f"        {slope}{i} = {f}" for i, f in enumerate(fields)]
+        if move:
+            lines += [f"        X{i} = Y{i} + {move}{i}" for i in range(n)]
     ret = ", ".join(f"Y{i} + dt*(A{i} + 2.0*B{i} + 2.0*C{i} + D{i})/6.0" for i in range(n))
     lines.append(f"        return ({ret},)")
-    lines.append(f"    def bounds({', '.join(ys)}):")
-    bsrc = ", ".join(_bool_src(b, my) for b in boundaries)
-    lines.append(f"        return ({bsrc},)")
+    lines.append(f"    def bounds({', '.join(f'X{i}' for i in range(n))}):")
+    lines.append(f"        return ({', '.join(boundaries)},)")
     lines.append("    return step, bounds")
-    src = "\n".join(lines)
     ns: dict = {}
-    exec(compile(src, "<ode-system>", "exec"), ns)
+    exec(compile("\n".join(lines), "<ode-system>", "exec"), ns)
     return ns["_make"]
 
 
-def _system_key(vars_: tuple, fields: tuple, boundaries: tuple, env_names: tuple) -> str:
-    from .syntax import _canon_bool, _canon_expr
-
-    env = {v: f"v{i}" for i, v in enumerate(vars_)}
-    env.update({e: f"e{j}" for j, e in enumerate(env_names)})
-    return "|".join(
-        [_canon_expr(f, env) for f in fields] + [_canon_bool(b, env) for b in boundaries]
-    ) + f"|{len(vars_)}:{len(env_names)}"
-
-
 def _get_stepper(vars_: tuple, fields: tuple, boundaries: tuple, env_names: tuple):
-    key = _system_key(vars_, fields, boundaries, env_names)
+    """The compiled maker for this system's shape, and the constant values
+    to call it with: ``make(env_vals, consts)``."""
+    names = {v: f"X{i}" for i, v in enumerate(vars_)}
+    names.update({e: f"E{j}" for j, e in enumerate(env_names)})
+    consts: list = []
+    fsrc = tuple(_expr_src(f, names, consts) for f in fields)
+    bsrc = tuple(_bool_src(b, names, consts) for b in boundaries)
+    key = (len(vars_), len(env_names), len(consts), fsrc, bsrc)
     make = _compiled_cache.get(key)
     if make is None:
-        make = _compile_system(vars_, fields, boundaries, env_names)
-        _compiled_cache[key] = make
-    return make
+        make = _compiled_cache[key] = _compile_system(*key)
+    return make, tuple(consts)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +595,6 @@ class IntegratorConfig:
     step: float = 1e-3
     tau_event: float = 1e-9
     max_substeps: int = 50_000_000
-    record_every: int = 1
 
     def __post_init__(self):
         if self.step <= 0 or self.tau_event <= 0:
@@ -747,10 +714,10 @@ def continuous_step(
     fields = tuple(e for c in cells for e in c.prefix.fields)
     boundaries = tuple(c.prefix.boundary for c in cells)
 
-    make = _get_stepper(vars_, fields, boundaries, env_names)
+    make, consts = _get_stepper(vars_, fields, boundaries, env_names)
     env_vals = tuple(float(env[n]) for n in env_names)
     try:
-        step, bounds = make(env_vals)
+        step, bounds = make(env_vals, consts)
     except (ZeroDivisionError, ValueError) as e:  # pragma: no cover
         raise UndefinedDynamics(str(e)) from None
 
@@ -781,9 +748,8 @@ def continuous_step(
                 t += dt
                 y = y_new
                 n_taken += 1
-                if n_taken % cfg.record_every == 0:
-                    times.append(t)
-                    samples.append(y)
+                times.append(t)
+                samples.append(y)
                 continue
             # bisect the crossing on the interpolated segment
             lo, hi = 0.0, 1.0

@@ -36,7 +36,6 @@ from .syntax import (
     BFalse,
     BNot,
     BoolExpr,
-    Call,
     Const,
     Continuous,
     Expr,
@@ -819,9 +818,6 @@ class _Printer:
         if isinstance(p, Replication):
             s = f"repl {self.process(p.body, 0)}"
             return f"({s})" if level > 0 else s
-        if isinstance(p, Call):
-            args = f"({', '.join(self.expr(a) for a in p.args)})" if p.args else ""
-            return f"{p.defname}{args}"
         raise TypeError(p)
 
 

@@ -16,6 +16,7 @@ from . import flows as fl
 from .kernel import (
     IntegratorConfig,
     TauL,
+    UrgencyViolation,
     discrete_transitions,
     continuous_step,
 )
@@ -156,6 +157,8 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
 
     while t < cfg.horizon - 1e-12:
         enum = discrete_transitions(p, cfg.repl_depth, counter=unfolds)
+        if enum.truncated:
+            enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={cfg.repl_depth}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
         taus = [tr for tr in enum.transitions if isinstance(tr.label, TauL)]
         if taus:
@@ -171,13 +174,19 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
             overflow = note_discrete(ev)
             p = prune(tr.agent.body)
             if overflow:
-                z = detect_zeno(trace, cfg.zeno_max_events, cfg.zeno_window)
-                trace.append(TraceEvent(t, "ZenoAbort", values=[z.accumulation] if z.accumulation else []))
-                return SimResult(trace, segments, "zeno", p, t, z, diagnostics)
+                status = "zeno"
+                break
             continue
         values, piece_end = environment.at(t)
         horizon = min(cfg.horizon - t, piece_end - t)
-        res = continuous_step(p, horizon, cfg.integrator, values)
+        try:
+            res = continuous_step(p, horizon, cfg.integrator, values)
+        except UrgencyViolation as e:
+            if not enum.truncated:
+                raise
+            raise UrgencyViolation(
+                f"{e}; replication unfolding was truncated at repl_depth={cfg.repl_depth}"
+            ) from None
         if res is None:
             if is_nil(prune(p)):
                 status = "inaction"
@@ -200,16 +209,23 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
                 provenance=[st.tag] if st.tag else [],
             )
             if note_discrete(ev):
-                z = detect_zeno(trace, cfg.zeno_max_events, cfg.zeno_window)
-                trace.append(TraceEvent(t, "ZenoAbort", values=[z.accumulation] if z.accumulation else []))
-                return SimResult(trace, segments, "zeno", prune(res.process), t, z, diagnostics)
+                status = "zeno"
+                break
         p = prune(res.process)
+        if status == "zeno":
+            break
         if res.duration == 0 and not res.stops:
             raise HpiError("continuous step made no progress")
     else:
         t = cfg.horizon
 
-    return SimResult(trace, segments, status, p, min(t, cfg.horizon), None, diagnostics)
+    zeno = None
+    if status == "zeno":
+        zeno = detect_zeno(trace, cfg.zeno_max_events, cfg.zeno_window)
+        trace.append(TraceEvent(t, "ZenoAbort", values=[zeno.accumulation] if zeno.accumulation else []))
+    else:
+        t = min(t, cfg.horizon)
+    return SimResult(trace, segments, status, p, t, zeno, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -300,13 +300,7 @@ class Replication:
     body: "Process"
 
 
-@dataclass(frozen=True)
-class Call:
-    defname: str
-    args: tuple  # of Expr
-
-
-Process = Union[Sum, Restriction, Parallel, Replication, Call]
+Process = Union[Sum, Restriction, Parallel, Replication]
 
 NIL = Sum(())
 
@@ -341,6 +335,29 @@ def memo(p: Process, key: str, compute: Callable, valid: Optional[Callable] = No
         # would materialise a dict and slow every later field access
         object.__setattr__(p, key, hit)
     return hit
+
+
+def constructs(p: Process) -> frozenset:
+    """The process-node and prefix classes that occur in p, continuations
+    and replication bodies included."""
+    return memo(p, "_constructs", _constructs)
+
+
+def _constructs(p: Process) -> frozenset:
+    out = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        out.add(type(q))
+        if isinstance(q, Sum):
+            for pi, cont in q.branches:
+                out.add(type(pi))
+                todo.append(cont)
+        elif isinstance(q, Parallel):
+            todo += (q.left, q.right)
+        else:
+            todo.append(q.body)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +406,6 @@ def _free_names(p: Process) -> frozenset[Name]:
         return free_names(p.left) | free_names(p.right)
     if isinstance(p, Replication):
         return free_names(p.body)
-    if isinstance(p, Call):
-        out = frozenset()
-        for e in p.args:
-            out |= expr_names(e)
-        return out
     raise TypeError(p)
 
 
@@ -513,8 +525,6 @@ def substitute(p: Process, s: Substitution) -> Process:
         return Parallel(substitute(p.left, s), substitute(p.right, s))
     if isinstance(p, Replication):
         return Replication(substitute(p.body, s))
-    if isinstance(p, Call):
-        return Call(p.defname, tuple(subst_expr(e, s) for e in p.args))
     raise TypeError(p)
 
 
@@ -550,9 +560,6 @@ def refresh(p: Process, suffix: Optional[str] = None) -> Process:
             return Parallel(go(p.left, env), go(p.right, env))
         if isinstance(p, Replication):
             return Replication(go(p.body, env))
-        if isinstance(p, Call):
-            s = _Renaming(env)
-            return Call(p.defname, tuple(subst_expr(e, s) for e in p.args))
         raise TypeError(p)
 
     def go_branch(pi: Prefix, cont: Process, env: dict[Name, Name]):
@@ -640,8 +647,6 @@ def _canon(p: Process, env: dict[Name, str], depth: int, flatten: bool) -> str:
         return f"(par {_canon(p.left, env, depth, flatten)} {_canon(p.right, env, depth, flatten)})"
     if isinstance(p, Replication):
         return f"(repl {_canon(p.body, env, depth, flatten)})"
-    if isinstance(p, Call):
-        return f"(call {p.defname} {' '.join(_canon_expr(a, env) for a in p.args)})"
     raise TypeError(p)
 
 
