@@ -6,7 +6,8 @@ output where the artifact is a term).  All units are SI: seconds for
 times, meters for positions.
 
 Exit codes: 0 success (or: consistent / bisimilar / certificate holds),
-1 refuted / violated, 2 usage error, 3 model or input error.
+1 refuted / violated, 2 usage error, 3 model or input error, or a
+bisimulation left inconclusive because an LTS was cut off.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
         integrator=IntegratorConfig(step=step),
         policy=args.policy,
         seed=args.seed,
+        repl_depth=args.repl_depth,
     )
 
 
@@ -171,13 +173,23 @@ def cmd_lts(args) -> int:
             f.write(text)
     else:
         print(text)
-    print(f"states={len(lts.states)} bounded={lts.bounded}", file=sys.stderr)
+    print(f"states={len(lts.states)} bounded={lts.bounded} truncated={lts.truncated}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_bisim(args) -> int:
-    a = build_lts(_load_entry(args.file_a), universe=tuple(args.universe), repl_depth=args.depth)
-    b = build_lts(_load_entry(args.file_b), universe=tuple(args.universe), repl_depth=args.depth)
+    ltss = {
+        path: build_lts(_load_entry(path), universe=tuple(args.universe), repl_depth=args.depth,
+                        max_states=args.max_states)
+        for path in (args.file_a, args.file_b)
+    }
+    # a cut-off LTS has lost edges, so neither verdict would be sound
+    cut = [f"inconclusive: {path} hit max_states={args.max_states}" for path, l in ltss.items() if l.bounded]
+    cut += [f"inconclusive: {path} hit repl depth={args.depth}" for path, l in ltss.items() if l.truncated]
+    if cut:
+        print("\n".join(cut), file=sys.stderr)
+        return EXIT_MODEL
+    a, b = ltss[args.file_a], ltss[args.file_b]
     check = strong_bisim if args.mode == "strong" else weak_bisim
     ok, _ = check(a, b)
     print(f"{args.mode} bisimulation: {'holds' if ok else 'refuted'}", file=sys.stderr)
@@ -289,6 +301,8 @@ def _add_sim_flags(sp, with_env=True):
     sp.add_argument("--step", type=float, default=None, help="integrator step in seconds")
     sp.add_argument("--seed", type=int, default=_default_seed(), help="random seed (HYBRIDPI_SEED)")
     sp.add_argument("--policy", choices=("first", "random"), default="first")
+    sp.add_argument("--repl-depth", type=int, default=SimConfig.repl_depth,
+                    help="replication unfolding bound per enumeration")
     sp.add_argument("--out-trace", metavar="FILE.jsonl", help="write the event trace here")
     sp.add_argument("--out-traj", metavar="FILE.csv", help="write the trajectory table here")
     if with_env:
@@ -326,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_b")
     sp.add_argument("--mode", choices=("strong", "weak"), default="strong")
     sp.add_argument("--universe", type=float, nargs="+", default=[0.0, 1.0])
-    sp.add_argument("--depth", type=int, default=4)
+    sp.add_argument("--depth", type=int, default=4, help="replication unfolding bound")
+    sp.add_argument("--max-states", type=int, default=4000)
     sp.set_defaults(fn=cmd_bisim)
 
     sp = sub.add_parser("approx", help="co-simulate two models and bound distance and time skew")

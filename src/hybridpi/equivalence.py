@@ -2,7 +2,14 @@
 
 Strong and weak bisimulation run partition refinement over finite labelled
 transition systems built from discrete fragments, with input prefixes
-instantiated over a declared value universe.  Approximate bisimulation
+instantiated over a declared value universe.  The refinement interns the
+states of both systems as integers in sorted (tag, key) order and the
+labels as integers, then works from a worklist: when states move to a new
+block, only their predecessors are re-signed, and a block splits by the
+(label, successor block) sets of those predecessors while its largest group
+keeps the id.  The result numbers blocks by their first member in sorted
+state order.  Weak bisimulation refines the saturated relation (tau
+closure around each visible step).  Approximate bisimulation
 co-simulates two closed systems per scenario and compares observed
 trajectories; refutation is sound, consistency is empirical.
 """
@@ -175,22 +182,49 @@ def _merged_edges(a: LTS, b: LTS):
 
 
 def _refine(edges: dict) -> dict:
-    block = {s: 0 for s in edges}
-    while True:
-        sigs = {}
-        for s in edges:
-            sig = (block[s], frozenset((l, block[t]) for l, t in edges[s]))
-            sigs[s] = sig
-        renum = {}
-        new = {}
-        for s in sorted(edges, key=lambda x: (x[0], x[1])):
-            sig = sigs[s]
-            if sig not in renum:
-                renum[sig] = len(renum)
-            new[s] = renum[sig]
-        if new == block:
-            return block
-        block = new
+    """Coarsest partition in which the states of a block have equal sets of
+    (label, successor block); blocks are numbered by their first member in
+    sorted state order."""
+    states = sorted(edges, key=lambda x: (x[0], x[1]))
+    index = {s: i for i, s in enumerate(states)}
+    labels: dict = {}
+    succ = [[(labels.setdefault(l, len(labels)), index[t]) for l, t in edges[s]] for s in states]
+    pred = [[] for _ in states]
+    for s, outs in enumerate(succ):
+        for _, t in outs:
+            pred[t].append(s)
+    blk = [0] * len(states)
+    members = [set(range(len(states)))]
+    bsig = [None]  # the signature of a block's members that are not touched
+    touched = {0: set(members[0])} if states else {}
+    while touched:
+        b, dirty = touched.popitem()
+        groups: dict = {}
+        for s in dirty:
+            groups.setdefault(frozenset((l, blk[t]) for l, t in succ[s]), set()).add(s)
+        clean = len(members[b]) - len(dirty)
+        if clean:
+            groups.setdefault(bsig[b], set())
+        # the largest group keeps the id, so a state moves O(log n) times
+        keep = max(groups, key=lambda g: len(groups[g]) + (clean if g == bsig[b] else 0))
+        moved = []
+        for sig, group in groups.items():
+            if sig == keep:
+                continue
+            if clean and sig == bsig[b]:
+                group |= members[b] - dirty
+            members[b] -= group
+            for s in group:
+                blk[s] = len(members)
+            members.append(group)
+            bsig.append(sig)
+            moved.extend(group)
+        bsig[b] = keep
+        for t in moved:
+            for s in pred[t]:
+                touched.setdefault(blk[s], set()).add(s)
+    first: dict = {}
+    return {s: first.setdefault(blk[i], len(first)) for i, s in enumerate(states)}
 
 
 def strong_bisim(a: LTS, b: LTS):
@@ -227,7 +261,7 @@ def _saturate(edges: dict) -> dict:
                 else:
                     for t2 in closure[t]:  # output bodies close under =>
                         out.add((l, t2))
-        weak[s] = tuple(sorted(out, key=repr))
+        weak[s] = out
     return weak
 
 

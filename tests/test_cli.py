@@ -192,3 +192,39 @@ def test_simulate_prints_diagnostics_as_warnings(hpc, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "warning: undefined-guard at run:1:12#1"
     assert err[1].startswith("status=horizon")
+
+
+CHAIN = "run mu x(n) @ <0> . i() . ([n < 30] . x!<n+1> + [n >= 30] . {end}!<>);"
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_bisim_on_a_cut_off_lts_is_inconclusive(hpc, capsys, mode):
+    # 20 states stop both chains before the ends that tell them apart
+    good = hpc("good.hpc", CHAIN.format(end="good"))
+    bad = hpc("bad.hpc", CHAIN.format(end="bad"))
+    assert main(["bisim", good, bad, "--mode", mode, "--max-states", "20"]) == 3
+    err = capsys.readouterr().err
+    assert f"inconclusive: {good} hit max_states=20" in err
+    assert "holds" not in err
+    assert main(["bisim", good, bad, "--mode", mode]) == 1
+
+
+def test_bisim_on_a_truncated_lts_is_inconclusive(hpc, capsys):
+    f = hpc("r.hpc", "run repl repl a!<1>;")
+    assert main(["bisim", f, f, "--depth", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"inconclusive: {f} hit repl depth=1" in err and "holds" not in err
+
+
+def test_lts_summary_names_truncation(hpc, tmp_path, capsys):
+    f = hpc("r.hpc", "run repl repl a!<1>;")
+    assert main(["lts", f, "--depth", "1", "--out", str(tmp_path / "l.json")]) == 0
+    assert "truncated=True" in capsys.readouterr().err
+
+
+def test_repl_depth_flag_raises_the_unfolding_bound(hpc, capsys):
+    f = hpc("deep.hpc", "run (" + "repl " * 66 + "a!<>) || a() . b!<>;")
+    assert main(["simulate", f, "--horizon", "1"]) == 3
+    assert "repl_depth=64" in capsys.readouterr().err
+    assert main(["simulate", f, "--horizon", "1", "--repl-depth", "80"]) == 0
+    assert main(["models", "run", "wait", "--repl-depth", "80"]) == 0

@@ -1,8 +1,14 @@
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridpi.equivalence import (
+    _merged_edges,
+    _refine,
+    _saturate,
     approx_bisim,
     bind_env,
     build_lts,
@@ -17,7 +23,7 @@ from hybridpi.flows import eval_expr
 from hybridpi.kernel import ContinuousUnsupported
 from hybridpi.parser import parse_term
 from hybridpi.simulator import Environment, simulate
-from hybridpi.syntax import Parallel, Restriction, Replication, Sum, Var, fresh, refresh
+from hybridpi.syntax import Parallel, Restriction, Replication, Sum, Var, fresh, prune, refresh
 from termgen import random_terms
 
 from conftest import sim_config
@@ -181,3 +187,78 @@ def test_bind_env_by_display_name():
     vals, _ = env.at(0.0)
     assert list(vals.values()) == [2.0]
     assert bind_env(p, None) is None
+
+
+# ---------------------------------------------------------------------------
+# Partition refinement against the round-based oracle
+# ---------------------------------------------------------------------------
+
+
+def rounds_refine(edges):
+    """Round-based refinement: every round recomputes each state's signature
+    and renumbers the blocks by first member in sorted state order."""
+    block = {s: 0 for s in edges}
+    while True:
+        renum, new = {}, {}
+        for s in sorted(edges, key=lambda x: (x[0], x[1])):
+            sig = (block[s], frozenset((l, block[t]) for l, t in edges[s]))
+            new[s] = renum.setdefault(sig, len(renum))
+        if new == block:
+            return block
+        block = new
+
+
+LABELS = [("tau",), ("out", "a", (1.0,)), ("in", "a", (0.0,))]
+
+
+@st.composite
+def edge_dicts(draw):
+    n = draw(st.integers(0, 12))
+    states = [(draw(st.sampled_from("ab")), f"s{i}") for i in range(n)]
+    succ = st.tuples(st.sampled_from(LABELS), st.sampled_from(states)) if n else st.nothing()
+    return {s: tuple(draw(st.lists(succ, max_size=3))) for s in states}
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_dicts())
+def test_refine_matches_the_round_based_oracle(edges):
+    assert _refine(edges) == rounds_refine(edges)
+    weak = _saturate(edges)
+    assert _refine(weak) == rounds_refine(weak)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prune_and_refresh_preserve_strong_bisimilarity(seed):
+    p = parse_term(random_terms(seed, 1)[0])
+    lp = lts(p)
+    for q in (prune(p), refresh(p)):
+        lq = lts(q)
+        ok, block = strong_bisim(lp, lq)
+        assert ok
+        assert block == rounds_refine(_merged_edges(lp, lq))
+        assert weak_bisim(lp, lq)[1] == rounds_refine(_saturate(_merged_edges(lp, lq)))
+
+
+CHAIN = "mu x(n) @ <0> . i() . ([n < {N}] . {step}x!<n+1> + [n >= {N}] . {end}!<>)"
+
+
+def test_bisim_scales_to_long_counter_chains():
+    n = 650
+    chains = {
+        "good": CHAIN.format(N=n, step="", end="good"),
+        "bad": CHAIN.format(N=n, step="", end="bad"),
+        "tau": "0 || " + CHAIN.format(N=n, step="tau . ", end="good"),
+    }
+    ltss = {k: lts(text, max_states=100_000) for k, text in chains.items()}
+    assert not any(l.bounded or l.truncated for l in ltss.values())
+    start = time.perf_counter()
+    verdicts = {
+        f"{mode.__name__}_{other}": mode(ltss["good"], ltss[other])[0]
+        for other in ("bad", "tau")
+        for mode in (strong_bisim, weak_bisim)
+    }
+    elapsed = time.perf_counter() - start
+    assert verdicts == {"strong_bisim_bad": False, "weak_bisim_bad": False,
+                        "strong_bisim_tau": False, "weak_bisim_tau": True}
+    assert elapsed < 10.0
