@@ -81,7 +81,6 @@ def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
         integrator=IntegratorConfig(step=step),
         policy=args.policy,
         seed=args.seed,
-        repl_depth=args.repl_depth,
     )
 
 
@@ -301,8 +300,6 @@ def _add_sim_flags(sp, with_env=True):
     sp.add_argument("--step", type=float, default=None, help="integrator step in seconds")
     sp.add_argument("--seed", type=int, default=_default_seed(), help="random seed (HYBRIDPI_SEED)")
     sp.add_argument("--policy", choices=("first", "random"), default="first")
-    sp.add_argument("--repl-depth", type=int, default=SimConfig.repl_depth,
-                    help="replication unfolding bound per enumeration")
     sp.add_argument("--out-trace", metavar="FILE.jsonl", help="write the event trace here")
     sp.add_argument("--out-traj", metavar="FILE.csv", help="write the trajectory table here")
     if with_env:

@@ -221,10 +221,3 @@ def test_lts_summary_names_truncation(hpc, tmp_path, capsys):
     assert main(["lts", f, "--depth", "1", "--out", str(tmp_path / "l.json")]) == 0
     assert "truncated=True" in capsys.readouterr().err
 
-
-def test_repl_depth_flag_raises_the_unfolding_bound(hpc, capsys):
-    f = hpc("deep.hpc", "run (" + "repl " * 66 + "a!<>) || a() . b!<>;")
-    assert main(["simulate", f, "--horizon", "1"]) == 3
-    assert "repl_depth=64" in capsys.readouterr().err
-    assert main(["simulate", f, "--horizon", "1", "--repl-depth", "80"]) == 0
-    assert main(["models", "run", "wait", "--repl-depth", "80"]) == 0
