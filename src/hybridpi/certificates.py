@@ -308,6 +308,8 @@ def check_certificate(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> dict:
+    if not tol >= 0:  # a NaN tolerance fails every comparison
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     reports: list = []
     all_coords = h.all_coords
     nstate = len(h.coords)

@@ -26,6 +26,7 @@ from .equivalence import (
     bind_env,
     build_lts,
     check_scenario,
+    check_tolerances,
     discretize,
     lipschitz_estimate,
     strong_bisim,
@@ -196,6 +197,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    check_tolerances(args.eps, args.delta)  # before a pool starts any scenario
     scenarios = _load_scenarios(args.scenarios)
     # parsed here even when workers re-parse: a ParseError raised in a
     # worker cannot be unpickled and would break the pool

@@ -348,9 +348,18 @@ def check_scenario(p: Process, q: Process, cfg: SimConfig, sc, observe: Sequence
     return {"skew": skew, "distance": dist, "variable": worst_var}
 
 
+def check_tolerances(eps: float, delta: float) -> None:
+    """Reject NaN or negative tolerances: a NaN bound passes every
+    comparison, so every scenario would read as consistent."""
+    for name, v in (("eps", eps), ("delta", delta)):
+        if not v >= 0:
+            raise ValueError(f"{name} must be a non-negative number, got {v}")
+
+
 def approx_verdict(checks, eps: float, delta: float, scenarios: int) -> ApproxVerdict:
     """Fold per-scenario checks, in scenario order, into one verdict; the
     first scenario beyond a tolerance refutes and ends the fold."""
+    check_tolerances(eps, delta)
     verdict = ApproxVerdict("consistent", eps, delta, scenarios=scenarios)
     slack = 1e-6  # numerical slack on top of the declared tolerances
     for idx, c in enumerate(checks):
@@ -414,10 +423,8 @@ def discretize(
     """A stepped recursion equivalent to {init | vars' = field} up to the RK4
     local error: each round idles `step` seconds in a stopped-clock cell,
     then recurses with the state advanced by the RK4 increment."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (0 < duration < math.inf and 0 < step < math.inf):
+        raise ValueError("duration and step must be positive and finite")
     n = len(vars_)
     if not (len(init) == len(field_) == n):
         raise ValueError("init, vars, and field lengths must agree")

@@ -3,11 +3,12 @@
 Discrete transitions take a process to an agent (a process, an abstraction
 awaiting values, or a concretion carrying values).  Continuous evolution
 integrates every active ODE cell jointly, as one system, with fixed-step
-RK4 and localizes boundary crossings by bisection; the assumption/guarantee
-contract of a step is built from the joint flow only when asked for.  The
-system's RK4 stepper is compiled once per shape: the generated source of
-its fields and boundaries, over positional state, environment and constant
-parameters, is the key of the stepper cache.
+RK4 and localizes boundary crossings by bisection; a step reports its
+duration, the ready set, the successor process, the cells that stopped and
+the joint flow of every cell variable.  The system's RK4 stepper is
+compiled once per shape: the generated source of its fields and
+boundaries, over positional state, environment and constant parameters,
+is the key of the stepper cache.
 """
 
 from __future__ import annotations
@@ -420,11 +421,8 @@ class _CellInfo:
 @dataclass
 class Survey:
     cells: list = field(default_factory=list)
-    ready: ReadySet = field(default_factory=ReadySet)
     urgent: list = field(default_factory=list)  # reasons evolution is preempted
     blocked: list = field(default_factory=list)  # sums with no applicable rule
-    diagnostics: list = field(default_factory=list)
-    restricted: set = field(default_factory=set)
 
 
 def _survey(p: Process, sv: Survey) -> ReadySet:
@@ -444,8 +442,6 @@ def _survey(p: Process, sv: Survey) -> ReadySet:
                 if v is True:
                     sv.urgent.append(("pass", p.tag))
                     live += 1
-                elif v is fl.UNDEFINED:
-                    sv.diagnostics.append(("undefined-guard", p.tag))
             elif isinstance(pi, Continuous):
                 if cont_branch is None:
                     cont_branch = (pi, cont)
@@ -476,9 +472,7 @@ def _survey(p: Process, sv: Survey) -> ReadySet:
             sv.urgent.append(("match", clash.describe()))
         return rl | rr
     if isinstance(p, Restriction):
-        r = _survey(p.body, sv)
-        sv.restricted.add(p.name)
-        return r.without(p.name)
+        return _survey(p.body, sv).without(p.name)
     if isinstance(p, Replication):
         r = _survey(p.body, sv)
         clash = r.dual() & r
@@ -490,9 +484,7 @@ def _survey(p: Process, sv: Survey) -> ReadySet:
 
 def survey(p: Process) -> tuple[Survey, ReadySet]:
     sv = Survey()
-    r = _survey(p, sv)
-    sv.ready = r
-    return sv, r
+    return sv, _survey(p, sv)
 
 
 def ready_set(p: Process) -> ReadySet:
@@ -597,8 +589,8 @@ class IntegratorConfig:
     max_substeps: int = 50_000_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.tau_event <= 0:
-            raise ValueError("step and tau_event must be positive")
+        if not (0 < self.step < math.inf and 0 < self.tau_event < math.inf):
+            raise ValueError("step and tau_event must be positive and finite")
 
 
 @dataclass
@@ -614,23 +606,7 @@ class ContinuousResult:
     ready: ReadySet
     process: Process
     stops: list
-    full_flow: Optional[fl.Flow]  # every cell variable, restricted ones included
-    diagnostics: list
-    restricted: frozenset = frozenset()  # names bound by a restriction in the process
-    assumed: dict = field(default_factory=dict)  # environment value of each external name
-
-    @property
-    def contract(self) -> Optional[fl.Contract]:
-        """The visible assumption/guarantee flow, built from full_flow on
-        demand; None for a zero-duration stop."""
-        if self.duration <= 0:
-            return None
-        if self.full_flow is None:
-            return fl.closed_contract(fl.empty_flow(self.duration))
-        visible = tuple(n for n in self.full_flow.names if n not in self.restricted)
-        g = self.full_flow.project(visible) if visible else fl.empty_flow(self.duration)
-        a = fl.constant_flow(tuple(self.assumed), self.assumed, self.duration)
-        return fl.Contract(a, g)
+    full_flow: Optional[fl.Flow]  # every cell variable; None without cells or duration
 
 
 def _rebuild(p: Process, repl: dict) -> Process:
@@ -700,7 +676,7 @@ def continuous_step(
 
     if not cells:
         # pure waiting: an empty flow of the full horizon
-        return ContinuousResult(horizon, ready, p, [], None, sv.diagnostics)
+        return ContinuousResult(horizon, ready, p, [], None)
 
     vars_ = tuple(all_vars)
     init_state: dict = dict(env)
@@ -727,7 +703,7 @@ def continuous_step(
     except (ZeroDivisionError, ValueError) as e:
         raise UndefinedDynamics(f"boundary undefined at start: {e}") from None
     if not all(ok0):
-        return _finish(p, cells, vars_, env_names, env_vals, [0.0], [y], 0.0, y, ok0, ready, sv)
+        return _finish(p, cells, vars_, [0.0], [y], 0.0, y, ok0, ready)
 
     times = [0.0]
     samples = [y]
@@ -783,15 +759,14 @@ def continuous_step(
         t_bad = next(tt for tt, yy in zip(times, samples) if not all(map(math.isfinite, yy)))
         raise UndefinedDynamics(f"state not finite {t_bad:.6g} s into the evolution (blow-up)")
 
-    return _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop, status_ok, ready, sv)
+    return _finish(p, cells, vars_, times, samples, t_stop, y_stop, status_ok, ready)
 
 
-def _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop, ok, ready, sv):
+def _finish(p, cells, vars_, times, samples, t_stop, y_stop, ok, ready):
     duration = t_stop
     stops = []
     repl = {}
     offset = 0
-    final = dict(zip(vars_, y_stop))
     for idx, c in enumerate(cells):
         k = len(c.prefix.vars)
         vals = y_stop[offset : offset + k]
@@ -809,7 +784,4 @@ def _finish(p, cells, vars_, env_names, env_vals, times, samples, t_stop, y_stop
             stops.append(StopInfo(c.tag, dict(zip(c.prefix.vars, vals)), c.prefix.binders))
     successor = _rebuild(p, repl)
     full = fl.Flow(tuple(vars_), np.asarray(times), np.asarray(samples)) if duration > 0 else None
-    return ContinuousResult(
-        duration, ready, successor, stops, full, sv.diagnostics,
-        frozenset(sv.restricted), dict(zip(env_names, env_vals)),
-    )
+    return ContinuousResult(duration, ready, successor, stops, full)

@@ -35,8 +35,8 @@ class SimConfig:
     max_events: int = 2_000_000
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.zeno_window <= 0:
-            raise ValueError("horizon and zeno window must be positive")
+        if not (0 < self.horizon < math.inf and self.zeno_window > 0):
+            raise ValueError("horizon must be positive and finite, and zeno window positive")
         if self.policy not in ("first", "random"):
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -341,8 +341,7 @@ def trajectory_to_csv(segments) -> str:
     variable absent from a segment renders as nan."""
     labels = _column_labels(segments)
     names = list(labels)
-    header = "time," + ",".join(labels[n] for n in names)
-    lines = [header]
+    lines = [",".join(["time"] + [labels[n] for n in names])]
     for t0, flow in segments:
         idx = {n: j for j, n in enumerate(flow.names)}
         for i, tt in enumerate(flow.times):

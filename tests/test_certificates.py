@@ -141,6 +141,13 @@ def test_check_certificate_is_deterministic():
     assert a["conditions"] == b["conditions"]
 
 
+def test_check_certificate_rejects_nan_or_negative_tol():
+    h, cert = one_d_automaton()
+    for tol in (float("nan"), -1e-6):
+        with pytest.raises(ValueError):
+            check_certificate(h, cert, samples=100, tol=tol)
+
+
 def test_gamma_must_be_nonnegative():
     with pytest.raises(ValueError):
         BarrierCertificate({"run": c(0.0)}, {"run": 0.0}, {"*": -1.0})

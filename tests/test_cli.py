@@ -144,6 +144,25 @@ def test_certcheck_exit_codes(hpc, tmp_path, capsys):
     assert rep["ok"] is False and "reports" not in rep
 
 
+def test_non_finite_tolerances_and_horizons_are_model_exit(hpc, capsys):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    b = hpc("b.hpc", "run {0 | x' = 2 & x < 100};")
+    sc = hpc("sc.json", json.dumps([{}, {}]))
+    aut = hpc("h.json", model_text("automaton-h.json"))
+    cert = hpc("c.json", model_text("certificate.json"))
+    for argv in (
+        ["simulate", a, "--horizon", "nan"],
+        ["simulate", a, "--horizon", "inf"],
+        ["simulate", a, "--step", "nan"],
+        ["approx", a, b, "--eps", "nan", "--delta", "1", "--observe", "x", "--horizon", "1"],
+        ["approx", a, b, "--eps", "1", "--delta", "-1", "--observe", "x", "--horizon", "1",
+         "--scenarios", sc, "--jobs", "2"],
+        ["certcheck", aut, cert, "--samples", "100", "--tol", "nan"],
+    ):
+        assert main(argv) == 3, argv
+        assert "error:" in capsys.readouterr().err
+
+
 def test_models_list_and_run(capsys):
     assert main(["models", "list"]) == 0
     out = capsys.readouterr().out

@@ -108,6 +108,15 @@ def test_approx_refutation_replays():
     assert verdict.counterexample["distance"] == pytest.approx(3.0, abs=1e-6)
 
 
+def test_approx_rejects_nan_or_negative_tolerances():
+    p = parse_term("{0 | x' = 1 & x < 10}")
+    q = parse_term("{0 | x' = 2 & x < 10}")
+    with mock.patch.object(equivalence, "check_scenario", side_effect=AssertionError("scenario ran")):
+        for eps, delta in ((math.nan, 0.0), (0.0, math.nan), (-1.0, 0.0), (0.0, -1.0)):
+            with pytest.raises(ValueError):
+                approx_bisim(p, q, eps, delta, sim_config(1.0), observe=("x",))
+
+
 def test_rk4_increment_matches_textbook_stages():
     v = fresh("v")
     (phi,) = rk4_increment([v], [Var(v)], 0.1)
@@ -158,6 +167,10 @@ def test_discretize_input_validation():
 
     with pytest.raises(ValueError):
         discretize([Const(1.0)], [v], [Var(v)], -1.0, 0.1)
+    for bad in (math.nan, math.inf):
+        for duration, step in ((bad, 0.1), (1.0, bad)):
+            with pytest.raises(ValueError):
+                discretize([Const(1.0)], [v], [Var(v)], duration, step)
     with pytest.raises(ValueError):
         discretize([Const(1.0)], [v], [Var(fresh("w"))], 1.0, 0.1)
 

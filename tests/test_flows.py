@@ -4,24 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridpi.flows import (
-    UNDEFINED,
-    Contract,
-    GlueError,
-    apply_op,
-    check_ode_along,
-    closed_contract,
-    constant_flow,
-    contract_compose,
-    empty_flow,
-    eval_bool,
-    eval_expr,
-    flow_concat,
-    flow_to_csv,
-    Flow,
-)
-from hybridpi.kernel import IntegratorConfig, continuous_step
-from hybridpi.parser import parse_term
+from hybridpi.flows import UNDEFINED, apply_op, eval_bool, eval_expr, Flow
 from hybridpi.syntax import Const, Less, Op, Var, fresh
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -77,87 +60,7 @@ def test_flow_basics_and_validation():
     assert f.duration == 2.0
     assert f.left()[x] == 1.0
     assert f.right_limit()[x] == pytest.approx(7.0)
-    assert f.at(1.0)[x] == pytest.approx(4.0)
     with pytest.raises(ValueError):
         Flow((x,), np.array([0.0, 1.0, 0.5]), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Flow((x,), np.array([1.0, 2.0]), np.zeros((2, 1)))
-
-
-def test_flow_concat_associative():
-    x = fresh("x")
-    a = ramp(x, 1.0, 0.0, 1.0)
-    b = ramp(x, 2.0, 1.0, 0.5)
-    c = ramp(x, 0.5, 2.0, -1.0)
-    lhs = flow_concat(flow_concat(a, b), c)
-    rhs = flow_concat(a, flow_concat(b, c))
-    assert lhs.duration == pytest.approx(rhs.duration)
-    assert np.allclose(lhs.times, rhs.times)
-    assert np.allclose(lhs.values, rhs.values)
-
-
-def test_flow_concat_rejects_jump():
-    x = fresh("x")
-    with pytest.raises(GlueError):
-        flow_concat(ramp(x, 1.0, 0.0, 1.0), ramp(x, 1.0, 5.0, 0.0))
-    y = fresh("y")
-    with pytest.raises(GlueError):
-        flow_concat(ramp(x, 1.0, 0.0, 1.0), ramp(y, 1.0, 1.0, 0.0))
-
-
-def test_contract_compose_commutative_and_closing():
-    x, y = fresh("x"), fresh("y")
-    # c1 guarantees x assuming nothing; c2 guarantees y assuming x
-    gx = ramp(x, 1.0, 0.0, 1.0)
-    c1 = closed_contract(gx)
-    c2 = Contract(ramp(x, 1.0, 0.0, 1.0), ramp(y, 1.0, 2.0, 0.0))
-    assert not c2.closed()
-    for a, b in ((c1, c2), (c2, c1)):
-        c = contract_compose(a, b)
-        assert c.closed()
-        assert {n.display for n in c.guarantee.names} == {"x", "y"}
-        assert c.state_at(0.5)[x] == pytest.approx(0.5)
-
-
-def test_contract_compose_rejects_disagreement_and_overlap():
-    x, y = fresh("x"), fresh("y")
-    c1 = closed_contract(ramp(x, 1.0, 0.0, 1.0))
-    c2 = Contract(ramp(x, 1.0, 0.0, 2.0), ramp(y, 1.0, 0.0, 0.0))
-    with pytest.raises(GlueError):
-        contract_compose(c1, c2)
-    with pytest.raises(GlueError):
-        contract_compose(c1, closed_contract(ramp(x, 1.0, 0.0, 1.0)))
-
-
-def test_closed_contract_has_no_assumptions():
-    x = fresh("x")
-    c = closed_contract(ramp(x, 1.0, 0.0, 1.0))
-    assert c.closed()
-    assert c.assumption.names == ()
-
-
-def test_check_ode_along_integrator_output():
-    p = parse_term("{1 | v' = v & v < 5}")
-    res = continuous_step(p, 10.0, IntegratorConfig(step=1e-3))
-    c = res.contract
-    assert c is not None and c.closed()
-    (v,) = [n for n in c.guarantee.names if n.display == "v"]
-    assert check_ode_along([v], [Var(v)], c, tol=1e-3)
-    # the wrong field must be rejected
-    assert not check_ode_along([v], [Op("*", (Var(v), Const(2.0)))], c, tol=1e-3)
-
-
-def test_flow_to_csv_shape():
-    x = fresh("x")
-    text = flow_to_csv(ramp(x, 1.0, 0.0, 1.0, n=3))
-    lines = text.strip().splitlines()
-    assert lines[0].split(",")[0] == "time"
-    assert len(lines) == 4
-
-
-def test_empty_flow_duration():
-    f = empty_flow(2.5)
-    assert f.duration == 2.5 and f.names == ()
-    y = fresh("y")
-    g = constant_flow((y,), {y: 7.0}, 1.0)
-    assert g.at(0.3)[y] == 7.0

@@ -193,5 +193,5 @@ def test_duplicate_guarantee_rejected():
 def test_pure_waiting_blocks_nothing():
     p = parse_term("a(v) . tau")
     res = continuous_step(p, 2.0, IntegratorConfig())
-    assert res.duration == 2.0 and res.contract.closed()
+    assert res.duration == 2.0 and res.full_flow is None
     assert {n.display for n, _ in res.ready} == {"a"}

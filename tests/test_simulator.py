@@ -1,7 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridpi.kernel import IntegratorConfig
 from hybridpi.parser import parse, parse_term
 from hybridpi.simulator import (
     Environment,
@@ -15,6 +19,7 @@ from hybridpi.simulator import (
     trajectory_to_csv,
 )
 from hybridpi.zoo import load, model_text
+from termgen import random_terms
 
 from conftest import sim_config
 
@@ -118,6 +123,20 @@ def test_exhaustive_traces_cover_both_choices():
     assert kinds == {("tau", "sync"), ("pass", "tau")}
 
 
+TRACE_KIND = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_first_policy_trace_is_a_prefix_of_an_exhaustive_path(seed):
+    p = parse_term(random_terms(seed, 1)[0])
+    res = simulate(p, sim_config(1.0, repl_depth=4))
+    got = [(ev.kind, ev.chan) for ev in res.trace if ev.kind in TRACE_KIND.values()]
+    paths = [[(TRACE_KIND[k], c) for k, c in path] for path in exhaustive_traces(p, max_depth=32, repl_depth=4)]
+    # policy first always takes the first transition, so it walks the first path
+    assert got == paths[0][: len(got)]
+
+
 def test_trace_jsonl_is_valid_json_lines():
     res = run_model("wait")
     lines = trace_to_jsonl(res.trace).strip().splitlines()
@@ -135,8 +154,20 @@ def test_trajectory_csv_header_and_rows():
     assert first[0] == 0.0
 
 
+def test_trajectory_csv_without_variables_has_a_time_only_header():
+    res = simulate(parse_term("a!<1> || a(x) . 0"), sim_config(1.0))
+    assert res.status == "inaction" and not res.segments
+    assert trajectory_to_csv(res.segments) == "time\n"
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=0.0)
     with pytest.raises(ValueError):
         SimConfig(policy="eager")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(horizon=bad)
+        for knob in ("step", "tau_event"):
+            with pytest.raises(ValueError):
+                IntegratorConfig(**{knob: bad})
