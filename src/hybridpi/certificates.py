@@ -55,9 +55,6 @@ class Polynomial:
             raise ValueError(f"unknown coordinate {name!r}")
         return Polynomial.make(coords, {exp: 1.0})
 
-    def mapping(self) -> dict:
-        return dict(self.terms)
-
     def __call__(self, point) -> float:
         # point: array-like in coords order
         out = 0.0
@@ -310,6 +307,12 @@ def check_certificate(
 ) -> dict:
     if not tol >= 0:  # a NaN tolerance fails every comparison
         raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if samples < 1:
+        raise ValueError(f"samples must be a positive count, got {samples}")
+    for name in h.locations:
+        for part, table in (("phi", cert.phi), ("lambda", cert.lam)):
+            if name not in table:
+                raise HpiError(f"certificate has no {part} for location {name!r}")
     reports: list = []
     all_coords = h.all_coords
     nstate = len(h.coords)
@@ -389,8 +392,25 @@ def _set_to_json(s: Optional[SetDesc]):
     return out
 
 
-def automaton_from_json(text: str) -> HybridAutomaton:
+def _from_json(text: str, what: str, build):
+    """build(the JSON object in text), with a missing or malformed part
+    reported as an HpiError instead of a KeyError or TypeError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise HpiError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        return build(obj)
+    except KeyError as e:
+        raise HpiError(f"{what}: missing {e.args[0]!r}") from None
+    except (TypeError, AttributeError, IndexError) as e:
+        raise HpiError(f"{what}: malformed ({e})") from None
+
+
+def automaton_from_json(text: str) -> HybridAutomaton:
+    return _from_json(text, "automaton", _automaton)
+
+
+def _automaton(obj: dict) -> HybridAutomaton:
     coords = tuple(obj["coords"])
     params = {k: (float(v[0]), float(v[1])) for k, v in obj.get("params", {}).items()}
     all_coords = coords + tuple(params)
@@ -446,12 +466,15 @@ def automaton_to_json(h: HybridAutomaton) -> str:
 
 
 def certificate_from_json(text: str, coords: Sequence[str]) -> BarrierCertificate:
-    obj = json.loads(text)
     coords = tuple(coords)
-    phi = {name: _poly_from_json(coords, p) for name, p in obj["phi"].items()}
-    lam = {name: float(v) for name, v in obj["lambda"].items()}
-    gamma = {name: float(v) for name, v in obj["gamma"].items()}
-    return BarrierCertificate(phi, lam, gamma)
+
+    def build(obj: dict) -> BarrierCertificate:
+        phi = {name: _poly_from_json(coords, p) for name, p in obj["phi"].items()}
+        lam = {name: float(v) for name, v in obj["lambda"].items()}
+        gamma = {name: float(v) for name, v in obj["gamma"].items()}
+        return BarrierCertificate(phi, lam, gamma)
+
+    return _from_json(text, "certificate", build)
 
 
 def certificate_to_json(cert: BarrierCertificate) -> str:

@@ -56,6 +56,15 @@ def _read(path: str) -> str:
         raise HpiError(f"cannot read {path}: {e}") from e
 
 
+def _load_json(path: str, load, *args):
+    """load(the text of path, *args), naming the file in an input error."""
+    text = _read(path)
+    try:
+        return load(text, *args)
+    except HpiError as e:
+        raise HpiError(f"{path}: {e}") from None
+
+
 def _load_entry(path: str):
     """Parse a model file and return its run process."""
     m = parse(_read(path))
@@ -116,13 +125,16 @@ def _load_scenarios(path):
     if isinstance(data, dict):
         data = data.get("scenarios", [])
     out = []
-    for sc in data:
-        if isinstance(sc, dict):
-            out.append({k: float(v) for k, v in sc.items()})
-        elif isinstance(sc, list):
-            out.append([(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc])
-        else:
-            raise HpiError(f"bad scenario entry: {sc!r}")
+    try:
+        for sc in data:
+            if isinstance(sc, dict):
+                out.append({k: float(v) for k, v in sc.items()})
+            elif isinstance(sc, list):
+                out.append([(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc])
+            else:
+                raise HpiError(f"bad scenario entry: {sc!r}")
+    except (TypeError, AttributeError) as e:
+        raise HpiError(f"{path}: malformed scenario {len(out)} ({e})") from None
     return out or [None]
 
 
@@ -251,8 +263,8 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_certcheck(args) -> int:
-    h = automaton_from_json(_read(args.automaton))
-    cert = certificate_from_json(_read(args.certificate), h.all_coords)
+    h = _load_json(args.automaton, automaton_from_json)
+    cert = _load_json(args.certificate, certificate_from_json, h.all_coords)
     result = check_certificate(h, cert, samples=args.samples, tol=args.tol, seed=args.seed)
     if args.out:
         with open(args.out, "w") as f:

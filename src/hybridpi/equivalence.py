@@ -16,6 +16,7 @@ trajectories; refutation is sound, consistency is empirical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -25,10 +26,8 @@ import numpy as np
 from . import flows as fl
 from .kernel import (
     Abstraction,
-    Concretion,
     ContinuousUnsupported,
-    InL,
-    TauL,
+    Proc,
     discrete_transitions,
 )
 from .simulator import Environment, SimConfig, simulate, trajectory_series
@@ -47,7 +46,6 @@ from .syntax import (
     Output,
     Parallel,
     Process,
-    ReadySet,
     Replication,
     Restriction,
     Substitution,
@@ -58,6 +56,7 @@ from .syntax import (
     b_le,
     canonical_key,
     constructs,
+    expr_names,
     free_names,
     fresh,
     prune,
@@ -107,21 +106,21 @@ def build_lts(
         truncated = truncated or enum.truncated
         out = []
         for tr in enum.transitions:
-            if isinstance(tr.label, TauL):
+            if isinstance(tr.agent, Proc):
                 targets = [(("tau",), tr.agent.body)]
-            elif isinstance(tr.label, InL):
-                f: Abstraction = tr.agent
+            elif isinstance(tr.agent, Abstraction):
+                f = tr.agent
                 targets = []
-                for vals in _tuples(universe, len(f.binders)):
+                for vals in itertools.product([float(v) for v in universe], repeat=len(f.binders)):
                     sub = Substitution({b: Const(v) for b, v in zip(f.binders, vals)})
                     try:
                         tgt = substitute(f.body, sub)
                     except SubstitutionError:
                         skipped += 1
                         continue
-                    targets.append((("in", tr.label.chan.display, vals), tgt))
+                    targets.append((("in", tr.chan.display, vals), tgt))
             else:
-                c: Concretion = tr.agent
+                c = tr.agent
                 if len(c.restricted) > len(_PRIV):
                     raise HpiError("too many extruded names in one concretion")
                 ren = Substitution(
@@ -146,7 +145,7 @@ def build_lts(
                 except SubstitutionError:
                     skipped += 1
                     continue
-                targets = [(("out", tr.label.chan.display, tuple(vals)), tgt)]
+                targets = [(("out", tr.chan.display, tuple(vals)), tgt)]
             for label, tgt in targets:
                 tgt = prune(tgt)
                 tkey = canonical_key(tgt, flatten=True)
@@ -159,13 +158,6 @@ def build_lts(
                 out.append((label, tkey))
         transitions[key] = tuple(out)
     return LTS(states, transitions, init, bounded, truncated, skipped)
-
-
-def _tuples(universe, n):
-    if n == 0:
-        return [()]
-    rest = _tuples(universe, n - 1)
-    return [(float(v),) + r for v in universe for r in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +422,6 @@ def discretize(
         raise ValueError("init, vars, and field lengths must agree")
     allowed = set(vars_)
     for f in field_:
-        from .syntax import expr_names
-
         if not expr_names(f) <= allowed:
             raise ValueError("field references a name outside vars")
 
@@ -447,7 +437,7 @@ def discretize(
             (c,) + ws,
             (Const(1.0),) + tuple(Const(0.0) for _ in ys),
             Less(Var(c), dur),
-            ReadySet(),
+            frozenset(),
         )
         return restrict((c,) + ws, Sum(((cell, cont),), tag=tag))
 

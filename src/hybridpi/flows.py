@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .syntax import (
+    ARITY,
+    OPERATORS,
     BAnd,
     BFalse,
     BoolExpr,
@@ -55,7 +57,7 @@ def eval_expr(e: Expr, s: Optional[State] = None):
     if s is None:
         s = {}
     if isinstance(e, Const):
-        return e.value if _is_real(e.value) else e.value
+        return e.value
     if isinstance(e, Var):
         v = s.get(e.name)
         return e if v is None else v
@@ -65,29 +67,29 @@ def eval_expr(e: Expr, s: Optional[State] = None):
     return apply_op(e.op, args)
 
 
+def _compile_operators() -> dict:
+    """op -> a function of its arguments, compiled from its source in
+    syntax.OPERATORS (the same source the steppers are built from)."""
+    out = {}
+    for op, src in OPERATORS.items():
+        args = [f"a{i}" for i in range(ARITY[op])]
+        ns: dict = {"math": math}
+        exec(f"def f({', '.join(args)}):\n    return {src.format(*args)}", ns)
+        out[op] = ns["f"]
+    return out
+
+
+_OPERATOR_FNS = _compile_operators()
+
+
 def apply_op(op: str, args: Sequence[float]):
+    fn = _OPERATOR_FNS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown operator {op!r}")
     try:
-        if op == "+":
-            return args[0] + args[1]
-        if op == "-":
-            return args[0] - args[1]
-        if op == "*":
-            return args[0] * args[1]
-        if op == "/":
-            return args[0] / args[1]
-        if op == "sqrt":
-            if args[0] < 0:
-                return UNDEFINED
-            return math.sqrt(args[0])
-        if op == "min":
-            return min(args[0], args[1])
-        if op == "max":
-            return max(args[0], args[1])
-        if op == "neg":
-            return -args[0]
-    except (ZeroDivisionError, OverflowError):
+        return fn(*args)
+    except (ZeroDivisionError, ValueError, OverflowError):
         return UNDEFINED
-    raise ValueError(f"unknown operator {op!r}")
 
 
 def eval_bool(b: BoolExpr, s: Optional[State] = None):

@@ -1,7 +1,9 @@
 """The two rule sets of the operational semantics.
 
-Discrete transitions take a process to an agent (a process, an abstraction
-awaiting values, or a concretion carrying values).  Continuous evolution
+Discrete transitions take a process to an agent, and the agent's type is
+the move's label (Milner's commitments): a process after a silent move, an
+abstraction awaiting values after an input on the transition's channel, a
+concretion carrying values after an output on it.  Continuous evolution
 integrates every active ODE cell jointly, as one system, with fixed-step
 RK4 and localizes boundary crossings by bisection; a step reports its
 duration, the ready set, the successor process, the cells that stopped and
@@ -32,10 +34,10 @@ from .syntax import (
     Input,
     Less,
     Name,
+    OPERATORS,
     Output,
     Parallel,
     Process,
-    ReadySet,
     Replication,
     Restriction,
     Substitution,
@@ -47,11 +49,12 @@ from .syntax import (
     expr_names,
     free_names,
     fresh,
-    fresh_like,
     is_nil,
     memo,
     prune,
     refresh,
+    rename_apart,
+    subst_expr,
     substitute,
 )
 
@@ -81,7 +84,7 @@ class ContinuousUnsupported(HpiError):
 
 
 # ---------------------------------------------------------------------------
-# Agents and labels
+# Agents
 # ---------------------------------------------------------------------------
 
 
@@ -113,27 +116,11 @@ class Concretion:
 Agent = Union[Proc, Abstraction, Concretion]
 
 
-@dataclass(frozen=True)
-class TauL:
-    pass
-
-
-@dataclass(frozen=True)
-class InL:
-    chan: Name
-
-
-@dataclass(frozen=True)
-class OutL:
-    chan: Name
-
-
-DiscreteLabel = Union[TauL, InL, OutL]
-
-
 @dataclass
 class Transition:
-    label: DiscreteLabel
+    """One discrete move.  The agent is its label: a Proc is silent, an
+    Abstraction is an input on `chan` and a Concretion an output on `chan`."""
+
     agent: Agent
     kind: str  # tau | pass | in | out | sense | actuate | sync
     chan: Optional[Name] = None
@@ -154,13 +141,12 @@ class Enumeration:
 # ---------------------------------------------------------------------------
 
 
-def _rename_apart(names: tuple, avoid: frozenset, body: Process):
-    clash = [n for n in names if n in avoid]
-    if not clash:
-        return names, body, None
-    ren = {n: fresh_like(n) for n in clash}
-    sub = Substitution({k: Var(v) for k, v in ren.items()})
-    return tuple(ren.get(n, n) for n in names), substitute(body, sub), sub
+def _rename_concretion(c: Concretion, avoid: frozenset) -> Concretion:
+    """c with its restricted names renamed apart from `avoid`."""
+    restricted, sub = rename_apart(c.restricted, avoid)
+    if sub is None:
+        return c
+    return Concretion(restricted, tuple(subst_expr(e, sub) for e in c.payload), substitute(c.body, sub))
 
 
 def par_agent(a: Agent, q: Process, left: bool) -> Agent:
@@ -172,15 +158,10 @@ def par_agent(a: Agent, q: Process, left: bool) -> Agent:
     if isinstance(a, Proc):
         return Proc(mk(a.body))
     if isinstance(a, Abstraction):
-        binders, body, _ = _rename_apart(a.binders, free_names(q), a.body)
-        return Abstraction(binders, mk(body))
-    restricted, body, sub = _rename_apart(a.restricted, free_names(q), a.body)
-    payload = a.payload
-    if sub:
-        from .syntax import subst_expr
-
-        payload = tuple(subst_expr(e, sub) for e in payload)
-    return Concretion(restricted, payload, mk(body))
+        binders, sub = rename_apart(a.binders, free_names(q))
+        return Abstraction(binders, mk(substitute(a.body, sub) if sub else a.body))
+    c = _rename_concretion(a, free_names(q))
+    return Concretion(c.restricted, c.payload, mk(c.body))
 
 
 def restrict_agent(x: Name, a: Agent) -> Agent:
@@ -202,24 +183,18 @@ def apply(f: Abstraction, c: Concretion) -> Process:
         raise HpiError(
             f"arity mismatch: abstraction of {len(f.binders)} applied to {len(c.payload)} values"
         )
-    avoid = free_names(f.body) - set(f.binders)
-    restricted, cbody, sub = _rename_apart(c.restricted, frozenset(avoid), c.body)
-    payload = c.payload
-    if sub:
-        from .syntax import subst_expr
-
-        payload = tuple(subst_expr(e, sub) for e in payload)
+    c = _rename_concretion(c, free_names(f.body) - set(f.binders))
     # closed payload expressions pass by value; keeps transmitted terms small
     norm = []
-    for e in payload:
+    for e in c.payload:
         v = fl.eval_expr(e)
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             norm.append(Const(float(v)))
         else:
             norm.append(e)
     body = substitute(f.body, Substitution(dict(zip(f.binders, norm))))
-    out: Process = Parallel(body, cbody)
-    for n in reversed(restricted):
+    out: Process = Parallel(body, c.body)
+    for n in reversed(c.restricted):
         out = Restriction(n, out)
     return out
 
@@ -234,17 +209,15 @@ def _sum_transitions(p: Sum, res: Enumeration):
     for pi, cont in p.branches:
         tag = (p.tag,) if p.tag else ()
         if isinstance(pi, Tau):
-            out.append(Transition(TauL(), Proc(cont), "tau", tags=tag))
+            out.append(Transition(Proc(cont), "tau", tags=tag))
         elif isinstance(pi, Input):
-            out.append(Transition(InL(pi.chan), Abstraction(pi.binders, cont), "in", pi.chan, tags=tag))
+            out.append(Transition(Abstraction(pi.binders, cont), "in", pi.chan, tags=tag))
         elif isinstance(pi, Output):
-            out.append(
-                Transition(OutL(pi.chan), Concretion((), pi.payload, cont), "out", pi.chan, pi.payload, tag)
-            )
+            out.append(Transition(Concretion((), pi.payload, cont), "out", pi.chan, pi.payload, tag))
         elif isinstance(pi, Guard):
             v = fl.eval_bool(pi.cond)
             if v is True:
-                out.append(Transition(TauL(), Proc(cont), "pass", tags=tag))
+                out.append(Transition(Proc(cont), "pass", tags=tag))
             elif v is fl.UNDEFINED:
                 res.diagnostics.append(("undefined-guard", p.tag))
         elif isinstance(pi, Continuous):
@@ -253,14 +226,12 @@ def _sum_transitions(p: Sum, res: Enumeration):
             for v, pol in items:
                 i = pi.vars.index(v)
                 if pol:  # sense: emit the current value
-                    out.append(
-                        Transition(OutL(v), Concretion((), (pi.init[i],), keep), "sense", v, (pi.init[i],), tag)
-                    )
+                    out.append(Transition(Concretion((), (pi.init[i],), keep), "sense", v, (pi.init[i],), tag))
                 else:  # actuate: accept a fresh value
                     x = fresh(v.display + "'")
                     init1 = pi.init[:i] + (Var(x),) + pi.init[i + 1 :]
                     upd = Sum(((Continuous(init1, pi.vars, pi.fields, pi.boundary, pi.ready, pi.binders), cont),), tag=p.tag)
-                    out.append(Transition(InL(v), Abstraction((x,), upd), "actuate", v, tags=tag))
+                    out.append(Transition(Abstraction((x,), upd), "actuate", v, tags=tag))
     return out
 
 
@@ -300,7 +271,7 @@ def _trans(p: Process, depth: int, res: Enumeration) -> list:
 
 
 def _lift(t: Transition, agent: Agent) -> Transition:
-    return Transition(t.label, agent, t.kind, t.chan, t.payload, t.tags)
+    return Transition(agent, t.kind, t.chan, t.payload, t.tags)
 
 
 def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list:
@@ -310,13 +281,13 @@ def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list
     out = []
     for tl in lefts:
         for tr in rights:
-            if isinstance(tl.label, InL) and isinstance(tr.label, OutL) and tl.label.chan == tr.label.chan:
+            if isinstance(tl.agent, Abstraction) and isinstance(tr.agent, Concretion) and tl.chan == tr.chan:
                 fi, co = tl, tr
-            elif isinstance(tl.label, OutL) and isinstance(tr.label, InL) and tl.label.chan == tr.label.chan:
+            elif isinstance(tl.agent, Concretion) and isinstance(tr.agent, Abstraction) and tl.chan == tr.chan:
                 fi, co = tr, tl
             else:
                 continue
-            merged = apply(_as_abstraction(fi.agent), _as_concretion(co.agent))
+            merged = apply(fi.agent, co.agent)
             if persist is not None:
                 merged = Parallel(merged, persist)
             kind = "sync"
@@ -324,7 +295,7 @@ def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list
                 kind = "sense"
             elif "actuate" in (tl.kind, tr.kind):
                 kind = "actuate"
-            out.append(Transition(TauL(), Proc(merged), kind, co.chan, co.payload, tl.tags + tr.tags))
+            out.append(Transition(Proc(merged), kind, co.chan, co.payload, tl.tags + tr.tags))
     return out
 
 
@@ -353,7 +324,7 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         hidden = set(names)
         out = []
         for t in _trans(p, depth, res):
-            if not (isinstance(t.label, (InL, OutL)) and t.label.chan in hidden):
+            if isinstance(t.agent, Proc) or t.chan not in hidden:
                 agent = t.agent
                 for n in reversed(names):
                     agent = restrict_agent(n, agent)
@@ -372,29 +343,13 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         before = res.counter[0]
         base = _trans(_unfold(p, res), depth - 1, res)
         out = [_lift(t, par_agent(t.agent, p, True)) for t in base]
-        ins = {t.label.chan for t in base if isinstance(t.label, InL)}
-        if any(isinstance(t.label, OutL) and t.label.chan in ins for t in base):
+        ins = {t.chan for t in base if isinstance(t.agent, Abstraction)}
+        if any(isinstance(t.agent, Concretion) and t.chan in ins for t in base):
             out += _syncs(base, _trans(_unfold(p, res), depth - 1, res), persist=p)
-        elif any(not isinstance(t.label, TauL) for t in base):
+        elif any(not isinstance(t.agent, Proc) for t in base):
             res.counter[0] += res.counter[0] - before
         return out
     raise TypeError(p)
-
-
-def _as_abstraction(a: Agent) -> Abstraction:
-    if isinstance(a, Proc):
-        return Abstraction((), a.body)
-    if isinstance(a, Abstraction):
-        return a
-    raise HpiError("expected an abstraction")
-
-
-def _as_concretion(a: Agent) -> Concretion:
-    if isinstance(a, Proc):
-        return Concretion((), (), a.body)
-    if isinstance(a, Concretion):
-        return a
-    raise HpiError("expected a concretion")
 
 
 def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = None) -> Enumeration:
@@ -425,11 +380,23 @@ class Survey:
     blocked: list = field(default_factory=list)  # sums with no applicable rule
 
 
-def _survey(p: Process, sv: Survey) -> ReadySet:
+# A ready set is a frozenset of (name, is_output) pairs: (name, True) is an
+# output (sense side), (name, False) an input (actuate side).
+
+
+def dual(ready: frozenset) -> frozenset:
+    return frozenset((n, not pol) for n, pol in ready)
+
+
+def describe_ready(ready: frozenset) -> str:
+    return "{" + ", ".join(sorted(f"{n.display}{'!' if pol else '?'}" for n, pol in ready)) + "}"
+
+
+def _survey(p: Process, sv: Survey) -> frozenset:
     """Returns the visible ready set of p, accumulating cells and checks."""
     if isinstance(p, Sum):
         if not p.branches:
-            return ReadySet()
+            return frozenset()
         cont_branch = None
         waiting = []
         live = 0
@@ -460,34 +427,34 @@ def _survey(p: Process, sv: Survey) -> ReadySet:
                     items.add((pi.chan, False))
                 else:
                     items.add((pi.chan, True))
-            return ReadySet(frozenset(items))
+            return frozenset(items)
         if live == 0:
             sv.blocked.append(p.tag)
-        return ReadySet()
+        return frozenset()
     if isinstance(p, Parallel):
         rl = _survey(p.left, sv)
         rr = _survey(p.right, sv)
-        clash = rl.dual() & rr
+        clash = dual(rl) & rr
         if clash:
-            sv.urgent.append(("match", clash.describe()))
+            sv.urgent.append(("match", describe_ready(clash)))
         return rl | rr
     if isinstance(p, Restriction):
-        return _survey(p.body, sv).without(p.name)
+        return frozenset(i for i in _survey(p.body, sv) if i[0] != p.name)
     if isinstance(p, Replication):
         r = _survey(p.body, sv)
-        clash = r.dual() & r
+        clash = dual(r) & r
         if clash:
-            sv.urgent.append(("match", clash.describe()))
+            sv.urgent.append(("match", describe_ready(clash)))
         return r
     raise TypeError(p)
 
 
-def survey(p: Process) -> tuple[Survey, ReadySet]:
+def survey(p: Process) -> tuple[Survey, frozenset]:
     sv = Survey()
     return sv, _survey(p, sv)
 
 
-def ready_set(p: Process) -> ReadySet:
+def ready_set(p: Process) -> frozenset:
     return survey(p)[1]
 
 
@@ -511,18 +478,7 @@ def _expr_src(e: Expr, names: dict, consts: list) -> str:
             return names[e.name]
         except KeyError:
             raise OpenSystem(f"unbound continuous name {e.name.display!r}") from None
-    a = [_expr_src(x, names, consts) for x in e.args]
-    if e.op in ("+", "-", "*", "/"):
-        return f"({a[0]} {e.op} {a[1]})"
-    if e.op == "sqrt":
-        return f"math.sqrt({a[0]})"
-    if e.op == "min":
-        return f"min({a[0]}, {a[1]})"
-    if e.op == "max":
-        return f"max({a[0]}, {a[1]})"
-    if e.op == "neg":
-        return f"(-{a[0]})"
-    raise ValueError(e.op)
+    return OPERATORS[e.op].format(*[_expr_src(x, names, consts) for x in e.args])
 
 
 def _bool_src(b: BoolExpr, names: dict, consts: list) -> str:
@@ -603,7 +559,7 @@ class StopInfo:
 @dataclass
 class ContinuousResult:
     duration: float
-    ready: ReadySet
+    ready: frozenset
     process: Process
     stops: list
     full_flow: Optional[fl.Flow]  # every cell variable; None without cells or duration

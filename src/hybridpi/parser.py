@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
+    ARITY,
     BAnd,
     BFalse,
     BNot,
@@ -183,6 +184,20 @@ class _Parser:
             self.fail("expected an identifier")
         return self.next()
 
+    def comma_list(self, item, close: Optional[str] = None) -> list:
+        """Comma-separated items read by `item`; with `close`, the list
+        may be empty and then ends before that token."""
+        if close is not None and self.at(close):
+            return []
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
+
+    def binder(self) -> Name:
+        return self.bind(self.ident().text)
+
     # -- name resolution ----------------------------------------------------
 
     def lookup(self, display: str) -> Optional[Name]:
@@ -230,11 +245,7 @@ class _Parser:
                 self.scope.append({})
                 if self.at("("):
                     self.next()
-                    if not self.at(")"):
-                        params.append(self.bind(self.ident().text))
-                        while self.at(","):
-                            self.next()
-                            params.append(self.bind(self.ident().text))
+                    params = self.comma_list(self.binder, ")")
                     self.eat(")")
                 self.eat("=")
                 old = self.ctx
@@ -282,39 +293,23 @@ class _Parser:
         return p
 
     def parse_sum(self) -> Process:
-        first = self.parse_component()
-        branches = self._as_branches(first) if self.at("+") else None
-        if branches is None:
+        first = self.parse_chain()
+        if not (self.at("+") and isinstance(first, Sum)):
             return first
+        branches = first.branches
         while self.at("+"):
-            t = self.peek()
-            self.next()
-            nxt = self.parse_component()
-            more = self._as_branches(nxt)
-            if more is None:
+            t = self.next()
+            nxt = self.parse_chain()
+            if not isinstance(nxt, Sum):
                 raise ParseError("only prefixed terms and 0 may be summands", t.line, t.col)
-            branches = branches + more
-        return Sum(tuple(branches), tag=first.tag if isinstance(first, Sum) else None)
-
-    def _as_branches(self, p: Process):
-        if isinstance(p, Sum):
-            return list(p.branches)
-        return None
-
-    def parse_component(self) -> Process:
-        t = self.peek()
-        if t.text in ("new", "repl", "mu"):
-            return self.parse_binder_form()
-        return self.parse_chain()
+            branches += nxt.branches
+        return Sum(branches, tag=first.tag)
 
     def parse_binder_form(self) -> Process:
         t = self.next()
         if t.text == "new":
             self.scope.append({})
-            ns = [self.bind(self.ident().text)]
-            while self.at(","):
-                self.next()
-                ns.append(self.bind(self.ident().text))
+            ns = self.comma_list(self.binder)
             self.eat(".")
             body = self.parse_process()
             self.scope.pop()
@@ -328,21 +323,13 @@ class _Parser:
         param_toks: list = []
         if self.at("("):
             self.next()
-            if not self.at(")"):
-                param_toks.append(self.ident())
-                while self.at(","):
-                    self.next()
-                    param_toks.append(self.ident())
+            param_toks = self.comma_list(self.ident, ")")
             self.eat(")")
         start: list = []  # parsed in the outer scope, before binders exist
         if self.at("@"):
             self.next()
             self.eat("<")
-            if not self.at(">"):
-                start.append(self.parse_expr())
-                while self.at(","):
-                    self.next()
-                    start.append(self.parse_expr())
+            start = self.comma_list(self.parse_expr, ">")
             self.eat(">")
         if len(start) != len(param_toks):
             raise ParseError(
@@ -393,11 +380,7 @@ class _Parser:
         args: list = []
         if self.at("("):
             self.next()
-            if not self.at(")"):
-                args.append(self.parse_expr())
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_expr())
+            args = self.comma_list(self.parse_expr, ")")
             self.eat(")")
         params, body = self.defs[nm.text]
         if len(args) != len(params):
@@ -439,24 +422,14 @@ class _Parser:
                 chan = self.resolve(self.next().text)
                 self.next()  # !
                 self.eat("<")
-                payload: list = []
-                if not self.at(">"):
-                    payload.append(self.parse_expr())
-                    while self.at(","):
-                        self.next()
-                        payload.append(self.parse_expr())
+                payload = self.comma_list(self.parse_expr, ">")
                 self.eat(">")
                 return Output(chan, tuple(payload))
             if nxt.text == "(" and (t.text not in self.defs or self.lookup(t.text) is not None):
                 chan = self.resolve(self.next().text)
                 self.next()  # (
                 self.scope.append({})
-                binders: list = []
-                if not self.at(")"):
-                    binders.append(self.bind(self.ident().text))
-                    while self.at(","):
-                        self.next()
-                        binders.append(self.bind(self.ident().text))
+                binders = self.comma_list(self.binder, ")")
                 self.eat(")")
                 # the frame stays open over the continuation; parse_chain
                 # restores the scope depth after parsing it
@@ -465,10 +438,7 @@ class _Parser:
 
     def parse_continuous(self) -> Continuous:
         t = self.eat("{")
-        init = [self.parse_expr()]
-        while self.at(","):
-            self.next()
-            init.append(self.parse_expr())
+        init = self.comma_list(self.parse_expr)
         self.eat("|")
         vars_: list = []
         fields: list = []
@@ -518,11 +488,7 @@ class _Parser:
         if self.at("("):
             self.next()
             self.scope.append({})  # binders scope over the continuation
-            if not self.at(")"):
-                binders.append(self.bind(self.ident().text))
-                while self.at(","):
-                    self.next()
-                    binders.append(self.bind(self.ident().text))
+            binders = self.comma_list(self.binder, ")")
             self.eat(")")
         if len(init) != len(vars_):
             raise ParseError(
@@ -536,11 +502,9 @@ class _Parser:
                 t.line,
                 t.col,
             )
-        from .syntax import ReadySet
-
         try:
             return Continuous(
-                tuple(init), tuple(vars_), tuple(fields), boundary, ReadySet(frozenset(items)), tuple(binders)
+                tuple(init), tuple(vars_), tuple(fields), boundary, frozenset(items), tuple(binders)
             )
         except ValueError as e:
             raise ParseError(str(e), t.line, t.col) from None
@@ -580,12 +544,9 @@ class _Parser:
         if t.kind == "ident" and t.text in FUNCS:
             self.next()
             self.eat("(")
-            args = [self.parse_expr()]
-            while self.at(","):
-                self.next()
-                args.append(self.parse_expr())
+            args = self.comma_list(self.parse_expr)
             self.eat(")")
-            want = 1 if t.text == "sqrt" else 2
+            want = ARITY[t.text]
             if len(args) != want:
                 raise ParseError(f"{t.text} takes {want} argument(s)", t.line, t.col)
             return Op(t.text, tuple(args))

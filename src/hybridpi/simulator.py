@@ -15,12 +15,13 @@ import numpy as np
 from . import flows as fl
 from .kernel import (
     IntegratorConfig,
-    TauL,
+    Proc,
     UrgencyViolation,
-    discrete_transitions,
     continuous_step,
+    describe_ready,
+    discrete_transitions,
 )
-from .syntax import HpiError, Process, is_nil, prune, refresh
+from .syntax import HpiError, Process, Var, is_nil, prune, refresh
 
 
 @dataclass
@@ -67,10 +68,6 @@ class SimResult:
     zeno: Optional[ZenoReport] = None
     diagnostics: list = field(default_factory=list)
 
-    @property
-    def events(self) -> list:
-        return self.trace
-
 
 # ---------------------------------------------------------------------------
 # Environment profiles (externally guaranteed variables, e.g. a disturbance)
@@ -106,12 +103,6 @@ class Environment:
         end = self.pieces[lo + 1][0] if lo + 1 < len(self.pieces) else math.inf
         return self.pieces[lo][1], end
 
-    def names(self) -> set:
-        out: set = set()
-        for _, d in self.pieces:
-            out |= set(d)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Simulation loop
@@ -125,8 +116,6 @@ def _payload_values(payload) -> list:
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             out.append(float(v))
         else:
-            from .syntax import Var
-
             out.append(v.name.display if isinstance(v, Var) else repr(v))
     return out
 
@@ -160,7 +149,7 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
         if enum.truncated:
             enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={cfg.repl_depth}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
-        taus = [tr for tr in enum.transitions if isinstance(tr.label, TauL)]
+        taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
         if taus:
             tr = taus[0] if rng is None else taus[int(rng.integers(len(taus)))]
             kind = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}[tr.kind]
@@ -196,7 +185,7 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
             break
         if res.duration > 0:
             trace.append(
-                TraceEvent(t, "Evolve", values=[res.duration], provenance=[res.ready.describe()])
+                TraceEvent(t, "Evolve", values=[res.duration], provenance=[describe_ready(res.ready)])
             )
             if res.full_flow is not None:
                 segments.append((t, res.full_flow))
@@ -284,7 +273,7 @@ def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> li
             out.append(acc)
             return
         enum = discrete_transitions(q, repl_depth)
-        taus = [tr for tr in enum.transitions if isinstance(tr.label, TauL)]
+        taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
         if not taus:
             out.append(acc)
             return

@@ -62,16 +62,20 @@ def fresh_like(n: Name) -> Name:
 # Expressions
 # ---------------------------------------------------------------------------
 
+# Each operator's one definition: its Python source with a {} slot per
+# argument.  The compiled steppers format it (kernel._expr_src) and the
+# interpreter runs it compiled once (flows.apply_op); arity is the slot count.
 OPERATORS = {
-    "+": 2,
-    "-": 2,
-    "*": 2,
-    "/": 2,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
-    "neg": 1,
+    "+": "({} + {})",
+    "-": "({} - {})",
+    "*": "({} * {})",
+    "/": "({} / {})",
+    "sqrt": "math.sqrt({})",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+    "neg": "(-{})",
 }
+ARITY = {op: src.count("{}") for op, src in OPERATORS.items()}
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class Op:
     args: tuple
 
     def __post_init__(self):
-        arity = OPERATORS.get(self.op)
+        arity = ARITY.get(self.op)
         if arity is None:
             raise ValueError(f"unknown operator {self.op!r}")
         if arity != len(self.args):
@@ -182,45 +186,6 @@ def bool_names(b: BoolExpr) -> frozenset[Name]:
 
 
 # ---------------------------------------------------------------------------
-# Ready sets: polarized names.  (name, True) is an output (sense side),
-# (name, False) an input (actuate side).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReadySet:
-    items: frozenset[tuple[Name, bool]] = frozenset()
-
-    def dual(self) -> "ReadySet":
-        return ReadySet(frozenset((n, not pol) for n, pol in self.items))
-
-    def names(self) -> frozenset[Name]:
-        return frozenset(n for n, _ in self.items)
-
-    def __or__(self, other: "ReadySet") -> "ReadySet":
-        return ReadySet(self.items | other.items)
-
-    def __and__(self, other: "ReadySet") -> "ReadySet":
-        return ReadySet(self.items & other.items)
-
-    def without(self, name: Name) -> "ReadySet":
-        return ReadySet(frozenset(i for i in self.items if i[0] != name))
-
-    def __bool__(self):
-        return bool(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def describe(self) -> str:
-        parts = sorted(f"{n.display}{'!' if pol else '?'}" for n, pol in self.items)
-        return "{" + ", ".join(parts) + "}"
-
-
-# ---------------------------------------------------------------------------
 # Prefixes
 # ---------------------------------------------------------------------------
 
@@ -253,7 +218,7 @@ class Continuous:
     vars: tuple            # Name per variable, pairwise distinct
     fields: tuple          # Expr per variable (right-hand sides)
     boundary: BoolExpr
-    ready: ReadySet
+    ready: frozenset       # (name, is_output) pairs: sense (True), actuate (False)
     binders: tuple = ()    # continuation binders; empty means final state dropped
 
     def __post_init__(self):
@@ -385,7 +350,7 @@ def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]
         for e in pi.fields:
             out |= expr_names(e)
         out |= bool_names(pi.boundary)
-        out |= pi.ready.names()
+        out |= {n for n, _ in pi.ready}
         return out
     raise TypeError(pi)
 
@@ -467,20 +432,24 @@ def subst_bool(b: BoolExpr, s: Substitution) -> BoolExpr:
     return BNot(subst_bool(b.arg, s))
 
 
+def rename_apart(names: tuple, avoid: frozenset):
+    """Capture-avoiding renaming: `names` with each member of `avoid`
+    replaced by a fresh name, drawn in order, and that renaming as a
+    substitution (None when nothing clashes)."""
+    ren = {n: fresh_like(n) for n in names if n in avoid}
+    if not ren:
+        return names, None
+    return tuple(ren.get(n, n) for n in names), Substitution({k: Var(v) for k, v in ren.items()})
+
+
 def _avoid_capture(binders: tuple[Name, ...], s: Substitution):
     """Adjust a binder vector against s; returns (binders, inner
     substitution, renaming of the binder scope or None)."""
     s = s.drop(binders)
     if not s:
         return binders, s, None
-    danger = s.free_in_range()
-    clashing = [b for b in binders if b in danger]
-    if not clashing:
-        return binders, s, None
-    renaming = {b: fresh_like(b) for b in clashing}
-    new_binders = tuple(renaming.get(b, b) for b in binders)
-    rename_sub = Substitution({k: Var(v) for k, v in renaming.items()})
-    return new_binders, s, rename_sub
+    binders, rename = rename_apart(binders, s.free_in_range())
+    return binders, s, rename
 
 
 def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Process]:
@@ -501,7 +470,7 @@ def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Pr
         init = tuple(subst_expr(e, s) for e in pi.init)
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_bool(pi.boundary, s)
-        rdy = ReadySet(frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready))
+        rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
         binders, inner, rename = _avoid_capture(pi.binders, s)
         body = substitute(cont, rename) if rename else cont
         return Continuous(init, vars_, fields, boundary, rdy, binders), substitute(body, inner)
@@ -582,7 +551,7 @@ def refresh(p: Process, suffix: Optional[str] = None) -> Process:
             init = tuple(subst_expr(e, s) for e in pi.init)
             fields = tuple(subst_expr(e, s) for e in pi.fields)
             boundary = subst_bool(pi.boundary, s)
-            rdy = ReadySet(frozenset((env.get(n, n), pol) for n, pol in pi.ready))
+            rdy = frozenset((env.get(n, n), pol) for n, pol in pi.ready)
             binders = tuple(fresh_like(b) for b in pi.binders)
             env2 = dict(env)
             env2.update(zip(pi.binders, binders))

@@ -240,3 +240,47 @@ def test_lts_summary_names_truncation(hpc, tmp_path, capsys):
     assert main(["lts", f, "--depth", "1", "--out", str(tmp_path / "l.json")]) == 0
     assert "truncated=True" in capsys.readouterr().err
 
+
+
+def _certcheck_error(hpc, capsys, automaton, certificate, *flags):
+    aut = hpc("h.json", automaton if automaton is not None else model_text("automaton-h.json"))
+    cert = hpc("c.json", certificate if certificate is not None else model_text("certificate.json"))
+    assert main(["certcheck", aut, cert, "--samples", "16", *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    return aut, cert, err
+
+
+def test_certcheck_automaton_without_coords_is_model_exit(hpc, capsys):
+    doc = json.loads(model_text("automaton-h.json"))
+    del doc["coords"]
+    aut, _, err = _certcheck_error(hpc, capsys, json.dumps(doc), None)
+    assert f"{aut}: automaton: missing 'coords'" in err
+
+
+def test_certcheck_top_level_list_is_model_exit(hpc, capsys):
+    aut, _, err = _certcheck_error(hpc, capsys, "[1, 2]", None)
+    assert f"{aut}: automaton: expected a JSON object, got list" in err
+    _, cert, err = _certcheck_error(hpc, capsys, None, "[]")
+    assert f"{cert}: certificate: expected a JSON object, got list" in err
+
+
+def test_certcheck_certificate_missing_a_location_is_model_exit(hpc, capsys):
+    for part, key in (("phi", "phi"), ("lambda", "lambda")):
+        doc = json.loads(model_text("certificate.json"))
+        doc[key] = {}
+        _, _, err = _certcheck_error(hpc, capsys, None, json.dumps(doc))
+        assert f"certificate has no {part} for location 'run'" in err
+
+
+def test_certcheck_zero_samples_is_model_exit(hpc, capsys):
+    _, _, err = _certcheck_error(hpc, capsys, None, None, "--samples", "0")
+    assert "samples must be a positive count, got 0" in err
+
+
+def test_approx_malformed_scenario_is_model_exit(hpc, capsys):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    sc = hpc("sc.json", json.dumps([[0, 1]]))
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sc}: malformed scenario 0") and len(err.strip().splitlines()) == 1

@@ -5,11 +5,9 @@ import pytest
 from hybridpi.kernel import (
     Abstraction,
     Concretion,
-    InL,
     IntegratorConfig,
     OpenSystem,
-    OutL,
-    TauL,
+    Proc,
     UrgencyViolation,
     apply,
     continuous_step,
@@ -50,7 +48,7 @@ def test_guards_pass_block_or_diagnose():
 def test_sync_and_value_passing():
     p = parse_term("a(v) . b!<v + 1> || a!<1>")
     enum = discrete_transitions(p)
-    taus = [tr for tr in enum.transitions if isinstance(tr.label, TauL)]
+    taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
     assert len(taus) == 1 and taus[0].kind == "sync"
     after = prune(taus[0].agent.body)
     enum2 = discrete_transitions(after)
@@ -92,7 +90,7 @@ def test_replication_unfolds_and_persists():
     p = parse_term("repl a(v) . tau")
     enum = discrete_transitions(p)
     (tr,) = enum.transitions
-    assert isinstance(tr.label, InL)
+    assert isinstance(tr.agent, Abstraction)
     body = apply(tr.agent, Concretion((), (Const(0.0),), parse_term("0")))
     # the replication itself survives next to the unfolded copy
     assert any(isinstance(q, Replication) for q in _components(prune(body)))

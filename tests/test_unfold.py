@@ -3,7 +3,7 @@ chains, and the stamps of a full network run."""
 
 import hashlib
 
-from hybridpi.kernel import Concretion, OutL, TauL, discrete_transitions
+from hybridpi.kernel import Concretion, Proc, discrete_transitions
 from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate, trace_to_jsonl
 from hybridpi.syntax import Parallel, Restriction
@@ -15,7 +15,7 @@ def test_self_synchronising_factory_keeps_its_copy_to_copy_syncs():
     p = parse_term("repl (c!<> || c() . repl d())")
     ctr = [0]
     enum = discrete_transitions(p, counter=ctr)
-    syncs = [t for t in enum.transitions if isinstance(t.label, TauL)]
+    syncs = [t for t in enum.transitions if isinstance(t.agent, Proc)]
     stamps = [tuple(tag.split("#", 1)[1] for tag in t.tags) for t in syncs]
     # one sync inside copy #1, then copy #1 with copy #2 in both directions
     assert stamps == [("1", "1"), ("1", "2"), ("1", "2")]
@@ -38,7 +38,7 @@ def test_factory_without_self_sync_advances_the_counter_as_before():
 def test_restriction_chain_hides_its_names_and_nests_innermost_first():
     p = parse_term("new a, b . (a!<> || b() || c!<>)")
     (t,) = discrete_transitions(p).transitions
-    assert isinstance(t.label, OutL) and t.chan.display == "c"
+    assert isinstance(t.agent, Concretion) and t.chan.display == "c"
     assert isinstance(t.agent, Concretion) and t.agent.restricted == ()
     outer = t.agent.body
     assert isinstance(outer, Restriction) and outer.name.display == "a"
