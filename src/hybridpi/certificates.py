@@ -239,7 +239,6 @@ def _sample_box(bounds: list, n: int, seed: int) -> np.ndarray:
 
 
 def _set_points(h: HybridAutomaton, s: Optional[SetDesc], n: int, seed: int, with_params: bool):
-    coords = list(h.coords) + (list(h.params) if with_params else [])
     bounds = []
     override = (s.box or {}) if s else {}
     for c in h.coords:
@@ -282,7 +281,7 @@ class ConditionReport:
         }
 
 
-def _report(cond, where, vals, pts, coords, ok_mask, tol) -> ConditionReport:
+def _report(cond, where, vals, pts, coords, ok_mask) -> ConditionReport:
     if len(vals) == 0:
         return ConditionReport(cond, where, 0, None, None, True, note="empty sample")
     bad = ~ok_mask
@@ -315,7 +314,6 @@ def check_certificate(
                 raise HpiError(f"certificate has no {part} for location {name!r}")
     reports: list = []
     all_coords = h.all_coords
-    nstate = len(h.coords)
 
     for name, loc in h.locations.items():
         phi = cert.phi[name]
@@ -323,17 +321,17 @@ def check_certificate(
         if loc.init is not None:
             pts = _set_points(h, loc.init, samples, seed, with_params=False)
             vals = phi.eval_batch(pts)
-            reports.append(_report("BC-1", name, vals, pts, all_coords, vals <= tol, tol))
+            reports.append(_report("BC-1", name, vals, pts, all_coords, vals <= tol))
         # BC-2: <grad phi, f> - lam*phi <= 0 on the invariant (params sampled jointly)
         lie = lie_derivative(phi, loc.field) - cert.lam[name] * phi
         pts = _set_points(h, loc.invariant, samples, seed + 1, with_params=True)
         vals = lie.eval_batch(pts)
-        reports.append(_report("BC-2", name, vals, pts, all_coords, vals <= tol, tol))
+        reports.append(_report("BC-2", name, vals, pts, all_coords, vals <= tol))
         # BC-4: phi > 0 on Unsafe
         if loc.unsafe is not None:
             pts = _set_points(h, loc.unsafe, samples, seed + 2, with_params=False)
             vals = phi.eval_batch(pts)
-            reports.append(_report("BC-4", name, vals, pts, all_coords, vals > -tol, tol))
+            reports.append(_report("BC-4", name, vals, pts, all_coords, vals > -tol))
 
     for i, e in enumerate(h.edges):
         label = e.label or f"e{i}"
@@ -345,7 +343,7 @@ def check_certificate(
         expr = gamma * phi_s - post
         pts = _set_points(h, e.guard, samples, seed + 3 + i, with_params=False)
         vals = expr.eval_batch(pts)
-        reports.append(_report("BC-3", label, vals, pts, all_coords, vals >= -tol, tol))
+        reports.append(_report("BC-3", label, vals, pts, all_coords, vals >= -tol))
 
     ok = all(r.ok for r in reports)
     return {"ok": ok, "tolerance": tol, "samples": samples, "conditions": [r.to_dict() for r in reports], "reports": reports}
@@ -364,8 +362,10 @@ def invariant_region(cert: BarrierCertificate) -> dict:
 def _poly_from_json(coords, obj) -> Polynomial:
     mapping = {}
     for key, c in obj.items():
-        exp = tuple(int(x) for x in key.split(","))
-        mapping[exp] = float(c)
+        try:
+            mapping[tuple(int(x) for x in key.split(","))] = float(c)
+        except ValueError as e:
+            raise HpiError(f"term {key!r}: {e}") from None
     return Polynomial.make(coords, mapping)
 
 
@@ -402,7 +402,9 @@ def _from_json(text: str, what: str, build):
         return build(obj)
     except KeyError as e:
         raise HpiError(f"{what}: missing {e.args[0]!r}") from None
-    except (TypeError, AttributeError, IndexError) as e:
+    except HpiError as e:
+        raise HpiError(f"{what}: {e}") from None
+    except (TypeError, AttributeError, IndexError, ValueError) as e:
         raise HpiError(f"{what}: malformed ({e})") from None
 
 
@@ -417,13 +419,16 @@ def _automaton(obj: dict) -> HybridAutomaton:
     box = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
     locations = {}
     for name, l in obj["locations"].items():
-        locations[name] = Location(
-            name,
-            {k: _poly_from_json(all_coords, v) for k, v in l["field"].items()},
-            _set_from_json(all_coords, l.get("invariant")),
-            _set_from_json(all_coords, l["init"]) if l.get("init") else None,
-            _set_from_json(all_coords, l["unsafe"]) if l.get("unsafe") else None,
-        )
+        try:
+            locations[name] = Location(
+                name,
+                {k: _poly_from_json(all_coords, v) for k, v in l["field"].items()},
+                _set_from_json(all_coords, l.get("invariant")),
+                _set_from_json(all_coords, l["init"]) if l.get("init") else None,
+                _set_from_json(all_coords, l["unsafe"]) if l.get("unsafe") else None,
+            )
+        except KeyError as e:
+            raise HpiError(f"location {name!r}: missing {e.args[0]!r}") from None
     edges = [
         Edge(
             e["source"],

@@ -79,7 +79,10 @@ def _env_pairs(pairs):
         if "=" not in kv:
             raise HpiError(f"--env expects NAME=VALUE, got {kv!r}")
         k, v = kv.split("=", 1)
-        out[k] = float(v)
+        try:
+            out[k] = float(v)
+        except ValueError:
+            raise HpiError(f"--env {k}: {v!r} is not a number") from None
     return out
 
 
@@ -133,7 +136,7 @@ def _load_scenarios(path):
                 out.append([(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc])
             else:
                 raise HpiError(f"bad scenario entry: {sc!r}")
-    except (TypeError, AttributeError) as e:
+    except (TypeError, AttributeError, ValueError) as e:
         raise HpiError(f"{path}: malformed scenario {len(out)} ({e})") from None
     return out or [None]
 

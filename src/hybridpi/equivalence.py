@@ -89,6 +89,9 @@ def build_lts(
 ) -> LTS:
     if Continuous in constructs(p):
         raise ContinuousUnsupported("LTS construction covers discrete fragments only")
+    universe = [float(v) for v in universe]
+    if not all(map(math.isfinite, universe)):
+        raise ValueError(f"universe values must be finite, got {universe}")
     p0 = prune(refresh(p))
     init = canonical_key(p0, flatten=True)
     states = {init: p0}
@@ -111,7 +114,7 @@ def build_lts(
             elif isinstance(tr.agent, Abstraction):
                 f = tr.agent
                 targets = []
-                for vals in itertools.product([float(v) for v in universe], repeat=len(f.binders)):
+                for vals in itertools.product(universe, repeat=len(f.binders)):
                     sub = Substitution({b: Const(v) for b, v in zip(f.binders, vals)})
                     try:
                         tgt = substitute(f.body, sub)

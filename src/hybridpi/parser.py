@@ -68,7 +68,6 @@ from .syntax import (
     fresh,
     is_nil,
     refresh,
-    substitute,
 )
 
 
@@ -388,12 +387,10 @@ class _Parser:
                 f"{nm.text} expects {len(params)} argument(s), got {len(args)}", nm.line, nm.col
             )
         self.inst[0] += 1
-        inst = refresh(body, f"@{self.inst[0]}")
-        if params:
-            try:
-                inst = substitute(inst, Substitution(dict(zip(params, args))))
-            except HpiError as e:
-                raise ParseError(f"in call to {nm.text}: {e}", nm.line, nm.col) from None
+        try:
+            inst = refresh(body, f"@{self.inst[0]}", Substitution(zip(params, args)))
+        except HpiError as e:
+            raise ParseError(f"in call to {nm.text}: {e}", nm.line, nm.col) from None
         if self.at("."):
             # call with continuation: graft onto the definition's unique tail
             self.next()
@@ -442,7 +439,8 @@ class _Parser:
         self.eat("|")
         vars_: list = []
         fields: list = []
-        while True:
+
+        def ode():
             nm = self.ident()
             self.eat("'")
             self.eat("=")
@@ -453,10 +451,17 @@ class _Parser:
                 raise ParseError(f"duplicate ODE variable {nm.text!r}", nm.line, nm.col)
             vars_.append(v)
             fields.append(self.parse_expr())
-            if self.at(","):
-                self.next()
-                continue
-            break
+
+        def ready_item():
+            nm = self.ident()
+            n = self.resolve(nm.text)
+            if n not in vars_:
+                raise ParseError(f"ready item {nm.text!r} is not an ODE variable", nm.line, nm.col)
+            if self.at("!") or self.at("?"):
+                return n, self.next().text == "!"
+            self.fail("ready item needs ! (sense) or ? (actuate)")
+
+        self.comma_list(ode)
         boundary = b_true()
         if self.at("&"):
             self.next()
@@ -466,23 +471,7 @@ class _Parser:
             self.next()
             if self.at("ready"):
                 self.next()
-            while True:
-                nm = self.ident()
-                n = self.resolve(nm.text)
-                if n not in vars_:
-                    raise ParseError(f"ready item {nm.text!r} is not an ODE variable", nm.line, nm.col)
-                if self.at("!"):
-                    self.next()
-                    items.add((n, True))
-                elif self.at("?"):
-                    self.next()
-                    items.add((n, False))
-                else:
-                    self.fail("ready item needs ! (sense) or ? (actuate)")
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            items = set(self.comma_list(ready_item))
         self.eat("}")
         binders: list = []
         if self.at("("):
@@ -693,7 +682,7 @@ class _Printer:
             if isinstance(a, BFalse):
                 return "true"
             if isinstance(a, Less):
-                return self._cmp(a.rhs, "<=", a.lhs, prec)
+                return self._cmp(a.rhs, "<=", a.lhs)
             if isinstance(a, BAnd) and isinstance(a.lhs, BNot) and isinstance(a.rhs, BNot):
                 s = f"{self.bool(a.lhs.arg, 1)} or {self.bool(a.rhs.arg, 1)}"
                 return f"({s})" if prec > 0 else s
@@ -701,14 +690,14 @@ class _Printer:
         if isinstance(b, BFalse):
             return "false"
         if isinstance(b, Less):
-            return self._cmp(b.lhs, "<", b.rhs, prec)
+            return self._cmp(b.lhs, "<", b.rhs)
         eq = self._match_eq(b)
         if eq is not None:
-            return self._cmp(eq[0], "==", eq[1], prec)
+            return self._cmp(eq[0], "==", eq[1])
         s = f"{self.bool(b.lhs, 2)} and {self.bool(b.rhs, 2)}"
         return f"({s})" if prec > 1 else s
 
-    def _cmp(self, l: Expr, op: str, r: Expr, prec: int) -> str:
+    def _cmp(self, l: Expr, op: str, r: Expr) -> str:
         return f"{self.expr(l)} {op} {self.expr(r)}"
 
     def _match_eq(self, b: BAnd):

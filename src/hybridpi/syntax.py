@@ -4,9 +4,14 @@ Processes are immutable trees built from sums of prefixed continuations,
 restriction, parallel composition and replication.  Names carry globally
 unique integer ids; alpha-renaming mints fresh ids from a session counter so
 the Barendregt convention (free and bound names disjoint) can be maintained
-mechanically.  Derived facts (free names, enumerations, structural flags) are
-memoised in each node's own ``__dict__``, so a node must never be mutated
-or copied.
+mechanically.  The calculus has three binders: ``new``, input binders and a
+cell's continuation binders.  One walker, ``_rewrite`` with its one scope
+rule ``_scope``, rewrites under all three: ``substitute`` applies a
+substitution capture-avoidingly, and ``refresh`` renames every binder,
+stamps every tag and applies an optional substitution in a single pass
+(replication unfolding and definition instances).  Derived facts (free
+names, enumerations, structural flags) are memoised in each node's own
+``__dict__``, so a node must never be mutated or copied.
 """
 
 from __future__ import annotations
@@ -388,9 +393,6 @@ class Substitution:
     def __bool__(self):
         return bool(self.mapping)
 
-    def lookup(self, n: Name) -> Optional[Expr]:
-        return self.mapping.get(n)
-
     def name_for(self, n: Name, where: str) -> Name:
         """Replacement for a name in channel/variable position; must be a name."""
         r = self.mapping.get(n)
@@ -408,16 +410,12 @@ class Substitution:
             out |= expr_names(e)
         return out
 
-    def drop(self, names: Iterable[Name]) -> "Substitution":
-        dropped = set(names)
-        return Substitution({k: v for k, v in self.mapping.items() if k not in dropped})
-
 
 def subst_expr(e: Expr, s: Substitution) -> Expr:
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
-        r = s.lookup(e.name)
+        r = s.mapping.get(e.name)
         return r if r is not None else e
     return Op(e.op, tuple(subst_expr(a, s) for a in e.args))
 
@@ -442,123 +440,85 @@ def rename_apart(names: tuple, avoid: frozenset):
     return tuple(ren.get(n, n) for n in names), Substitution({k: Var(v) for k, v in ren.items()})
 
 
-def _avoid_capture(binders: tuple[Name, ...], s: Substitution):
-    """Adjust a binder vector against s; returns (binders, inner
-    substitution, renaming of the binder scope or None)."""
-    s = s.drop(binders)
-    if not s:
-        return binders, s, None
-    binders, rename = rename_apart(binders, s.free_in_range())
-    return binders, s, rename
+def _scope(binders: tuple, s: Substitution, renew: bool):
+    """The one binder rule: ``binders`` as rewritten, and the substitution
+    in force under them -- s without the binders, plus their renaming.
+    Renewing renames every binder to a fresh name; otherwise a binder is
+    renamed only where a name in s's range would be captured."""
+    if renew:
+        new = tuple(map(fresh_like, binders))
+        inner = Substitution(s.mapping)
+        inner.mapping.update(zip(binders, map(Var, new)))
+        return new, inner
+    inner = Substitution({k: v for k, v in s.mapping.items() if k not in binders})
+    if not inner:
+        return binders, inner
+    new, ren = rename_apart(binders, inner.free_in_range())
+    if ren:
+        inner.mapping.update(ren.mapping)
+    return new, inner
 
 
-def subst_prefix(pi: Prefix, cont: Process, s: Substitution) -> tuple[Prefix, Process]:
-    if isinstance(pi, Tau):
-        return pi, substitute(cont, s)
+def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) -> Process:
+    """The one binder-aware walker: p with s applied to its free names,
+    capture-avoiding.  When renewing, every binder also gets a fresh name
+    and every tag the suffix.  Fresh names are drawn depth first, a
+    prefix's binders before its continuation."""
+    # without renewal an untouched subtree comes back as the same object,
+    # keeping its memos warm across transitions
+    if not renew and (not s or free_names(p).isdisjoint(s.mapping)):
+        return p
+    if isinstance(p, Sum):
+        tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
+        return Sum(tuple(_rewrite_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
+    if isinstance(p, Restriction):
+        (name,), inner = _scope((p.name,), s, renew)
+        return Restriction(name, _rewrite(p.body, inner, renew, suffix))
+    if isinstance(p, Parallel):
+        return Parallel(_rewrite(p.left, s, renew, suffix), _rewrite(p.right, s, renew, suffix))
+    if isinstance(p, Replication):
+        return Replication(_rewrite(p.body, s, renew, suffix))
+    raise TypeError(p)
+
+
+def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suffix: Optional[str]):
+    """_rewrite of one sum branch, the only dispatch on prefix type."""
+    inner = s
     if isinstance(pi, Input):
         chan = s.name_for(pi.chan, "channel")
-        binders, inner, rename = _avoid_capture(pi.binders, s)
-        body = substitute(cont, rename) if rename else cont
-        return Input(chan, binders), substitute(body, inner)
-    if isinstance(pi, Output):
-        chan = s.name_for(pi.chan, "channel")
-        return Output(chan, tuple(subst_expr(e, s) for e in pi.payload)), substitute(cont, s)
-    if isinstance(pi, Guard):
-        return Guard(subst_bool(pi.cond, s)), substitute(cont, s)
-    if isinstance(pi, Continuous):
+        binders, inner = _scope(pi.binders, s, renew)
+        pi = Input(chan, binders)
+    elif isinstance(pi, Output):
+        pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
+    elif isinstance(pi, Guard):
+        pi = Guard(subst_bool(pi.cond, s))
+    elif isinstance(pi, Continuous):
         vars_ = tuple(s.name_for(v, "continuous variable") for v in pi.vars)
         init = tuple(subst_expr(e, s) for e in pi.init)
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_bool(pi.boundary, s)
         rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
-        binders, inner, rename = _avoid_capture(pi.binders, s)
-        body = substitute(cont, rename) if rename else cont
-        return Continuous(init, vars_, fields, boundary, rdy, binders), substitute(body, inner)
-    raise TypeError(pi)
+        binders, inner = _scope(pi.binders, s, renew)
+        pi = Continuous(init, vars_, fields, boundary, rdy, binders)
+    elif not isinstance(pi, Tau):
+        raise TypeError(pi)
+    return pi, _rewrite(cont, inner, renew, suffix)
 
 
 def substitute(p: Process, s: Substitution) -> Process:
-    if not s:
-        return p
-    # untouched subtrees come back as the same object, keeping their
-    # memos warm across transitions
-    if free_names(p).isdisjoint(s.mapping):
-        return p
-    if isinstance(p, Sum):
-        return Sum(tuple(subst_prefix(pi, cont, s) for pi, cont in p.branches), tag=p.tag)
-    if isinstance(p, Restriction):
-        binders, inner, rename = _avoid_capture((p.name,), s)
-        body = substitute(p.body, rename) if rename else p.body
-        return Restriction(binders[0], substitute(body, inner))
-    if isinstance(p, Parallel):
-        return Parallel(substitute(p.left, s), substitute(p.right, s))
-    if isinstance(p, Replication):
-        return Replication(substitute(p.body, s))
-    raise TypeError(p)
+    """p with s applied to its free names; a bound name that a name in s's
+    range would be captured by is renamed to a fresh one."""
+    return _rewrite(p, s, False, None)
 
 
-class _Renaming(Substitution):
-    """A binder renaming that reads refresh's environment dict as needed,
-    through ``lookup`` only, so no substitution is built per branch."""
-
-    def __init__(self, env: dict[Name, Name]):
-        self.mapping = env
-
-    def lookup(self, n: Name) -> Optional[Expr]:
-        m = self.mapping.get(n)
-        return None if m is None else Var(m)
-
-
-def refresh(p: Process, suffix: Optional[str] = None) -> Process:
-    """Alpha-rename every binder to a fresh id (restores Barendregt).  With
-    a ``suffix``, the same pass appends it to every sum tag, nested
-    replication bodies included, so the events of one unfolded copy or
-    inlined instance stay apart (a copy spawned inside copy #k carries
-    #k#m)."""
-
-    def go(p: Process, env: dict[Name, Name]) -> Process:
-        if isinstance(p, Sum):
-            tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
-            return Sum(tuple(go_branch(pi, cont, env) for pi, cont in p.branches), tag=tag)
-        if isinstance(p, Restriction):
-            n2 = fresh_like(p.name)
-            env2 = dict(env)
-            env2[p.name] = n2
-            return Restriction(n2, go(p.body, env2))
-        if isinstance(p, Parallel):
-            return Parallel(go(p.left, env), go(p.right, env))
-        if isinstance(p, Replication):
-            return Replication(go(p.body, env))
-        raise TypeError(p)
-
-    def go_branch(pi: Prefix, cont: Process, env: dict[Name, Name]):
-        if isinstance(pi, Tau):
-            return pi, go(cont, env)
-        if isinstance(pi, Input):
-            chan = env.get(pi.chan, pi.chan)
-            binders = tuple(fresh_like(b) for b in pi.binders)
-            env2 = dict(env)
-            env2.update(zip(pi.binders, binders))
-            return Input(chan, binders), go(cont, env2)
-        s = _Renaming(env)
-        if isinstance(pi, Output):
-            return Output(env.get(pi.chan, pi.chan),
-                          tuple(subst_expr(e, s) for e in pi.payload)), go(cont, env)
-        if isinstance(pi, Guard):
-            return Guard(subst_bool(pi.cond, s)), go(cont, env)
-        if isinstance(pi, Continuous):
-            vars_ = tuple(env.get(v, v) for v in pi.vars)
-            init = tuple(subst_expr(e, s) for e in pi.init)
-            fields = tuple(subst_expr(e, s) for e in pi.fields)
-            boundary = subst_bool(pi.boundary, s)
-            rdy = frozenset((env.get(n, n), pol) for n, pol in pi.ready)
-            binders = tuple(fresh_like(b) for b in pi.binders)
-            env2 = dict(env)
-            env2.update(zip(pi.binders, binders))
-            return Continuous(init, vars_, fields, boundary, rdy, binders), go(cont, env2)
-        raise TypeError(pi)
-
-    return go(p, {})
+def refresh(p: Process, suffix: Optional[str] = None, s: Optional[Substitution] = None) -> Process:
+    """One pass that renames every binder to a fresh id (restoring
+    Barendregt), stamps every sum tag with ``suffix``, nested replication
+    bodies included, and applies ``s`` to the free names.  The stamp keeps
+    the events of one unfolded copy or inlined instance apart (a copy
+    spawned inside copy #k carries #k#m); a definition instance is
+    ``refresh(body, "@k", params -> args)``."""
+    return _rewrite(p, s or Substitution(), True, suffix)
 
 
 # ---------------------------------------------------------------------------

@@ -284,3 +284,44 @@ def test_approx_malformed_scenario_is_model_exit(hpc, capsys):
     assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sc}: malformed scenario 0") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scenarios", [[{"u": "abc"}], [[["a", {"u": 1}]]]])
+def test_approx_scenario_with_a_bad_value_names_file_and_index(hpc, capsys, scenarios):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    sc = hpc("sc.json", json.dumps([{"u": 1}] + scenarios))
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sc}: malformed scenario 1 (could not convert") and len(err.strip().splitlines()) == 1
+
+
+def test_certcheck_bad_term_key_names_file_and_key(hpc, capsys):
+    doc = json.loads(model_text("certificate.json"))
+    doc["phi"]["run"]["x,0"] = 1.0
+    _, cert, err = _certcheck_error(hpc, capsys, None, json.dumps(doc))
+    assert f"{cert}: certificate: term 'x,0': invalid literal" in err
+
+
+def test_certcheck_location_without_field_names_the_location(hpc, capsys):
+    doc = json.loads(model_text("automaton-h.json"))
+    del doc["locations"]["run"]["field"]
+    aut, _, err = _certcheck_error(hpc, capsys, json.dumps(doc), None)
+    assert f"{aut}: automaton: location 'run': missing 'field'" in err
+
+
+def test_simulate_env_with_a_bad_value_names_the_flag(hpc, capsys):
+    f = hpc("w.hpc", model_text("wait.hpc"))
+    assert main(["simulate", f, "--horizon", "1", "--env", "u=abc"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: --env u: 'abc' is not a number\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_lts_and_bisim_reject_a_non_finite_universe(hpc, tmp_path, capsys, value):
+    f = hpc("r.hpc", "run a(x) . b!<x>;")
+    out = tmp_path / "l.json"
+    assert main(["lts", f, "--universe", "0", value, "--out", str(out)]) == 3
+    assert main(["bisim", f, f, "--universe", value]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("error: universe values must be finite") for e in err)
+    assert not out.exists()
