@@ -10,7 +10,11 @@ duration, the ready set, the successor process, the cells that stopped and
 the joint flow of every cell variable.  The system's RK4 stepper is
 compiled once per shape: the generated source of its fields and
 boundaries, over positional state, environment and constant parameters,
-is the key of the stepper cache.
+is the key of the stepper cache.  The compiled ``make(env, consts)``
+returns ``(advance, bounds)``: ``advance`` runs the whole fixed-step loop,
+recording the samples, up to the horizon or the first step that crosses a
+boundary, and ``bounds`` evaluates the boundaries at one state for the
+bisection of that crossing.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
-
-import numpy as np
 
 from . import flows as fl
 from .syntax import (
@@ -463,7 +465,10 @@ def ready_set(p: Process) -> frozenset:
 # of the fields and boundaries is the only description of a system: state
 # variables are X{i}, environment names E{j} and numeric constants K{k}
 # (parameters, in walk order), so the key is the vector sizes and those
-# source strings, and every system of one shape shares one stepper.
+# source strings, and every system of one shape shares one stepper.  A
+# stepper is ``make(env, consts) -> (advance, bounds)``: ``advance`` is the
+# whole fixed-step RK4 loop, which returns at the horizon or at the first
+# step whose end fails a boundary; ``bounds`` evaluates the boundaries.
 # ---------------------------------------------------------------------------
 
 
@@ -495,25 +500,61 @@ _compiled_cache: dict = {}
 
 
 def _compile_system(n: int, m: int, k: int, fields: tuple, boundaries: tuple):
-    """``make(env, consts) -> (step, bounds)`` for field and boundary
-    sources over X0..X{n-1}, E0..E{m-1} and K0..K{k-1}."""
+    """``make(env, consts) -> (advance, bounds)`` for field and boundary
+    sources over X0..X{n-1}, E0..E{m-1} and K0..K{k-1}.
+
+    ``advance(t, y, step, horizon, eps, max_substeps, times, samples)``
+    takes fixed RK4 steps of ``min(step, horizon - t)`` from state ``y`` at
+    time ``t`` while ``t < horizon - eps``, appending each accepted step's
+    end time to ``times`` and its state values to the flat ``samples``.  It
+    returns ``(t, y, None)`` at the horizon and ``(t, y, (dt, y_new, ok))``
+    at the first step whose end ``y_new`` fails a boundary, with ``ok`` the
+    boundary values there.  ``bounds(*x)`` is the tuple of boundary values
+    at ``x``."""
+    ys = ", ".join(f"Y{i}" for i in range(n))
+    xs = ", ".join(f"X{i}" for i in range(n))
+    bs = ", ".join(f"b{c}" for c in range(len(boundaries)))
     lines = ["import math", "def _make(env, consts):"]
     for prefix, size, arg in (("E", m, "env"), ("K", k, "consts")):
         if size:
             lines.append("    (" + ", ".join(f"{prefix}{j}" for j in range(size)) + f",) = {arg}")
-    lines.append(f"    def step({', '.join(f'Y{i}' for i in range(n))}, dt):")
-    lines += [f"        X{i} = Y{i}" for i in range(n)]
+    lines += [
+        "    def advance(t, y, step, horizon, eps, max_substeps, times, samples):",
+        f"        ({ys},) = y",
+        "        end = horizon - eps",
+        "        n_taken = 0",
+        "        while t < end:",
+        "            dt = horizon - t",
+        "            if dt > step:",
+        "                dt = step",
+        "            if n_taken > max_substeps:",
+        '                raise StepOverflow(f"more than {max_substeps} substeps")',
+    ]
+    lines += [f"            X{i} = Y{i}" for i in range(n)]
     # each stage evaluates the same field sources at X, then moves X on
     for slope, move in (("A", "0.5*dt*A"), ("B", "0.5*dt*B"), ("C", "dt*C"), ("D", None)):
-        lines += [f"        {slope}{i} = {f}" for i, f in enumerate(fields)]
+        lines += [f"            {slope}{i} = {f}" for i, f in enumerate(fields)]
         if move:
-            lines += [f"        X{i} = Y{i} + {move}{i}" for i in range(n)]
-    ret = ", ".join(f"Y{i} + dt*(A{i} + 2.0*B{i} + 2.0*C{i} + D{i})/6.0" for i in range(n))
-    lines.append(f"        return ({ret},)")
-    lines.append(f"    def bounds({', '.join(f'X{i}' for i in range(n))}):")
-    lines.append(f"        return ({', '.join(boundaries)},)")
-    lines.append("    return step, bounds")
-    ns: dict = {}
+            lines += [f"            X{i} = Y{i} + {move}{i}" for i in range(n)]
+    lines += [f"            X{i} = Y{i} + dt*(A{i} + 2.0*B{i} + 2.0*C{i} + D{i})/6.0" for i in range(n)]
+    # every boundary is evaluated, so one that raises still raises
+    lines += [f"            b{c} = {b}" for c, b in enumerate(boundaries)]
+    lines += [
+        f"            if not ({' and '.join(f'b{c}' for c in range(len(boundaries)))}):",
+        f"                return t, ({ys},), (dt, ({xs},), ({bs},))",
+        "            t += dt",
+        "            n_taken += 1",
+        "            times.append(t)",
+        f"            samples.extend(({xs},))",
+    ]
+    lines += [f"            Y{i} = X{i}" for i in range(n)]
+    lines += [
+        f"        return t, ({ys},), None",
+        f"    def bounds({xs}):",
+        f"        return ({', '.join(boundaries)},)",
+        "    return advance, bounds",
+    ]
+    ns: dict = {"StepOverflow": StepOverflow}
     exec(compile("\n".join(lines), "<ode-system>", "exec"), ns)
     return ns["_make"]
 
@@ -649,7 +690,7 @@ def continuous_step(
     make, consts = _get_stepper(vars_, fields, boundaries, env_names)
     env_vals = tuple(float(env[n]) for n in env_names)
     try:
-        step, bounds = make(env_vals, consts)
+        advance, bounds = make(env_vals, consts)
     except (ZeroDivisionError, ValueError) as e:  # pragma: no cover
         raise UndefinedDynamics(str(e)) from None
 
@@ -659,33 +700,19 @@ def continuous_step(
     except (ZeroDivisionError, ValueError) as e:
         raise UndefinedDynamics(f"boundary undefined at start: {e}") from None
     if not all(ok0):
-        return _finish(p, cells, vars_, [0.0], [y], 0.0, y, ok0, ready)
+        return _finish(p, cells, vars_, [0.0], y0, 0.0, y, ok0, ready)
 
     times = [0.0]
-    samples = [y]
-    t = 0.0
-    n_taken = 0
-    status_ok = None
-    t_stop = None
-    y_stop = None
+    samples = y0  # flat: one run of len(vars_) values per time
     try:
         eps = 1e-12 * max(1.0, horizon)
-        while t < horizon - eps:
-            dt = min(cfg.step, horizon - t)
-            if n_taken > cfg.max_substeps:
-                raise StepOverflow(f"more than {cfg.max_substeps} substeps")
-            y_new = step(*y, dt)
-            ok = bounds(*y_new)
-            if all(ok):
-                t += dt
-                y = y_new
-                n_taken += 1
-                times.append(t)
-                samples.append(y)
-                continue
+        t, y, crossing = advance(0.0, y, cfg.step, horizon, eps, cfg.max_substeps, times, samples)
+        if crossing is None:
+            t_stop, y_stop, status_ok = horizon, y, tuple(True for _ in cells)
+        else:
             # bisect the crossing on the interpolated segment
+            dt, y_new, ok_hi = crossing
             lo, hi = 0.0, 1.0
-            ok_hi = ok
             while (hi - lo) * dt > cfg.tau_event:
                 mid = 0.5 * (lo + hi)
                 ym = tuple(a + mid * (b - a) for a, b in zip(y, y_new))
@@ -698,21 +725,17 @@ def continuous_step(
             y_stop = tuple(a + hi * (b - a) for a, b in zip(y, y_new))
             t_stop = t + hi * dt
             status_ok = ok_hi
-            break
     except (ZeroDivisionError, ValueError) as e:
         raise UndefinedDynamics(f"dynamics undefined during integration: {e}") from None
 
-    if t_stop is None:
-        t_stop = horizon
-        y_stop = y
-        status_ok = tuple(True for _ in cells)
+    n = len(vars_)
     if times[-1] != t_stop:
         times.append(t_stop)
-        samples.append(y_stop)
-    elif samples[-1] != y_stop:
-        samples[-1] = y_stop
+        samples.extend(y_stop)
+    elif tuple(samples[-n:]) != y_stop:
+        samples[-n:] = y_stop
     if not all(map(math.isfinite, y_stop)):  # checked where the step ends, not per RK4 step
-        t_bad = next(tt for tt, yy in zip(times, samples) if not all(map(math.isfinite, yy)))
+        t_bad = times[next(i for i, v in enumerate(samples) if not math.isfinite(v)) // n]
         raise UndefinedDynamics(f"state not finite {t_bad:.6g} s into the evolution (blow-up)")
 
     return _finish(p, cells, vars_, times, samples, t_stop, y_stop, status_ok, ready)
@@ -739,5 +762,5 @@ def _finish(p, cells, vars_, times, samples, t_stop, y_stop, ok, ready):
                 repl[id(c.site)] = c.cont
             stops.append(StopInfo(c.tag, dict(zip(c.prefix.vars, vals)), c.prefix.binders))
     successor = _rebuild(p, repl)
-    full = fl.Flow(tuple(vars_), np.asarray(times), np.asarray(samples)) if duration > 0 else None
+    full = fl.Flow(tuple(vars_), times, samples) if duration > 0 else None
     return ContinuousResult(duration, ready, successor, stops, full)

@@ -20,6 +20,7 @@ from .kernel import (
     continuous_step,
     describe_ready,
     discrete_transitions,
+    survey,
 )
 from .syntax import HpiError, Process, Var, is_nil, prune, refresh
 
@@ -181,7 +182,8 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
                 status = "inaction"
             else:
                 status = "deadlock"
-                trace.append(TraceEvent(t, "Deadlock"))
+                blocked = dict.fromkeys(tag for tag in survey(p)[0].blocked if tag)
+                trace.append(TraceEvent(t, "Deadlock", provenance=list(blocked)))
             break
         if res.duration > 0:
             trace.append(
@@ -330,16 +332,18 @@ def trajectory_to_csv(segments) -> str:
     variable absent from a segment renders as nan."""
     labels = _column_labels(segments)
     names = list(labels)
-    lines = [",".join(["time"] + [labels[n] for n in names])]
+    parts = [",".join(["time"] + [labels[n] for n in names]) + "\n"]
+    row_fmt = ",".join(["%.17g"] * (1 + len(names))) + "\n"
     for t0, flow in segments:
         idx = {n: j for j, n in enumerate(flow.names)}
-        for i, tt in enumerate(flow.times):
-            row = [f"{t0 + tt:.17g}"]
-            for n in names:
-                j = idx.get(n)
-                row.append("nan" if j is None else f"{flow.values[i, j]:.17g}")
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        block = np.full((len(flow.times), 1 + len(names)), np.nan)
+        block[:, 0] = t0 + flow.times
+        for c, n in enumerate(names, 1):
+            j = idx.get(n)
+            if j is not None:
+                block[:, c] = flow.values[:, j]
+        parts.append((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def trajectory_series(segments, display: str):

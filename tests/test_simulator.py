@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridpi.flows import Flow
 from hybridpi.kernel import IntegratorConfig
 from hybridpi.parser import parse, parse_term
 from hybridpi.simulator import (
@@ -16,8 +17,10 @@ from hybridpi.simulator import (
     simulate,
     trace_to_jsonl,
     trajectory_series,
+    _column_labels,
     trajectory_to_csv,
 )
+from hybridpi.syntax import fresh
 from hybridpi.zoo import load, model_text
 from termgen import random_terms
 
@@ -158,6 +161,70 @@ def test_trajectory_csv_without_variables_has_a_time_only_header():
     res = simulate(parse_term("a!<1> || a(x) . 0"), sim_config(1.0))
     assert res.status == "inaction" and not res.segments
     assert trajectory_to_csv(res.segments) == "time\n"
+
+
+def _csv_per_cell(segments) -> str:
+    # the per-cell formatter the block writer replaced, kept as the reference
+    labels = _column_labels(segments)
+    names = list(labels)
+    lines = [",".join(["time"] + [labels[n] for n in names])]
+    for t0, flow in segments:
+        idx = {n: j for j, n in enumerate(flow.names)}
+        for i, tt in enumerate(flow.times):
+            row = [f"{t0 + tt:.17g}"]
+            for n in names:
+                j = idx.get(n)
+                row.append("nan" if j is None else f"{flow.values[i, j]:.17g}")
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_the_per_cell_formatter():
+    x, x2, y = fresh("x"), fresh("x"), fresh("y")  # x and x2 share a display
+    segments = [
+        (0.0, Flow((x, y), [0.0, 0.1, 0.30000000000000004], [[-0.0, 1.0], [5e-324, 1e308], [-math.inf, 2.5]])),
+        # a t0 offset, y missing (nan fill), columns in another order
+        (0.30000000000000004, Flow((x2, x), [0.0, 1e-3], [[1.0 / 3.0, -1e-310], [math.pi, -0.0]])),
+        (1.7, Flow((y, x), [0.0, 0.25, 0.5], [[7.0, 2.0], [-2.2250738585072014e-308, 1e16], [0.1, -123.456]])),
+    ]
+    got = trajectory_to_csv(segments)
+    assert got == _csv_per_cell(segments)
+    assert got.splitlines()[0] == "time,x,y,x_2"
+    assert "nan" in got and "-inf" in got and "4.9406564584124654e-324" in got
+
+
+def test_trajectory_csv_matches_the_per_cell_formatter_on_models():
+    for id_ in ("wait", "ball"):
+        res = run_model(id_, horizon=3.0)
+        assert trajectory_to_csv(res.segments) == _csv_per_cell(res.segments)
+
+
+def test_deadlock_names_the_blocked_sum():
+    res = simulate(parse_term("[1 < 0] . a!<> || {0 | x' = 1 & x < 2}"), sim_config(5.0))
+    assert res.status == "deadlock" and res.end_time == 0.0
+    last = json.loads(trace_to_jsonl(res.trace).splitlines()[-1])
+    assert last == {"time": 0.0, "kind": "Deadlock", "chan": None, "values": None, "provenance": ["run:2:5"]}
+
+
+def test_deadlock_names_every_blocked_sum_in_walk_order():
+    res = simulate(parse_term("[1 < 0] . a!<> || new c . [2 < 1] . c!<>"), sim_config(5.0))
+    assert res.status == "deadlock"
+    assert [(ev.kind, ev.provenance) for ev in res.trace] == [("Deadlock", ["run:2:5", "run:2:31"])]
+
+
+def test_deadlock_after_evolution_names_the_continuation():
+    res = simulate(parse_term("{0 | x' = 1 & x < 1}(z) . [z < 0] . a!<>"), sim_config(5.0))
+    assert res.status == "deadlock"
+    assert [ev.kind for ev in res.trace] == ["Evolve", "Stop", "Deadlock"]
+    stop, dead = res.trace[-2:]
+    assert dead.time == stop.time == pytest.approx(1.0, abs=1e-6)
+    assert stop.provenance == ["run:2:5"] and dead.provenance == ["run:2:31"]
+
+
+def test_inaction_is_not_a_deadlock():
+    res = simulate(parse_term("{0 | x' = 1 & x < 1}(z) . 0"), sim_config(5.0))
+    assert res.status == "inaction"
+    assert all(ev.kind != "Deadlock" for ev in res.trace)
 
 
 def test_sim_config_validation():

@@ -1,6 +1,8 @@
 """Compiled RK4 steppers are cached per system shape: numeric constants
 are stepper parameters, so systems that differ only in constants share
-one compiled stepper and still integrate with their own values."""
+one compiled stepper and still integrate with their own values.  The
+compiled fixed-step loop gives the samples of a reference RK4 loop over
+the interpreter bit for bit, and keeps the substep and blow-up checks."""
 
 import math
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridpi import kernel
-from hybridpi.flows import UNDEFINED, eval_expr
-from hybridpi.kernel import IntegratorConfig, UndefinedDynamics, continuous_step
+from hybridpi.flows import UNDEFINED, eval_bool, eval_expr
+from hybridpi.kernel import IntegratorConfig, StepOverflow, UndefinedDynamics, continuous_step
 from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate
-from hybridpi.syntax import ARITY, OPERATORS, Const, Op, Var, fresh
+from hybridpi.syntax import ARITY, OPERATORS, Const, Op, Var, free_names, fresh
 
 from conftest import sim_config
 
@@ -81,3 +83,82 @@ def test_interpreter_matches_the_compiled_source(e, state):
     got = eval_expr(e, dict(zip(_XS, state)))
     # repr tells -0.0 from 0.0 and lets nan equal nan
     assert got is want if want is UNDEFINED else repr(got) == repr(want)
+
+
+# -- the compiled loop against a reference RK4 loop ---------------------------
+
+
+def _reference_rk4(p, horizon, cfg, env):
+    """Fixed-step RK4 over the interpreter: the accepted (time, state)
+    samples up to the horizon or up to the start of the first step whose
+    end fails a boundary, and that step's end time (None at the horizon)."""
+    cells = kernel.survey(p)[0].cells
+    vars_ = [v for c in cells for v in c.prefix.vars]
+    fields = [f for c in cells for f in c.prefix.fields]
+    y = [float(eval_expr(e, env)) for c in cells for e in c.prefix.init]
+
+    def slopes(x):
+        s = {**env, **dict(zip(vars_, x))}
+        return [eval_expr(f, s) for f in fields]
+
+    times, rows = [0.0], [tuple(y)]
+    t = 0.0
+    while t < horizon - 1e-12 * max(1.0, horizon):
+        dt = min(cfg.step, horizon - t)
+        A = slopes(y)
+        B = slopes([Y + 0.5*dt*a for Y, a in zip(y, A)])
+        C = slopes([Y + 0.5*dt*b for Y, b in zip(y, B)])
+        D = slopes([Y + dt*c for Y, c in zip(y, C)])
+        y_new = [Y + dt*(a + 2.0*b + 2.0*c + d)/6.0 for Y, a, b, c, d in zip(y, A, B, C, D)]
+        s = {**env, **dict(zip(vars_, y_new))}
+        if not all(eval_bool(c.prefix.boundary, s) is True for c in cells):
+            return times, rows, t + dt
+        t += dt
+        y = y_new
+        times.append(t)
+        rows.append(tuple(y))
+    return times, rows, None
+
+
+@pytest.mark.parametrize("src, env, horizon, step", [
+    ("{1 | x' = -0.5 * x & 0.2 < x}", {}, 10.0, 1e-2),
+    ("{0 | x' = u & x < 100}", {"u": 1.5}, 2.5, 3e-2),
+    ("{0, 1 | x' = y, y' = -x & x < 0.9}", {}, 10.0, 1e-2),
+    ("{0, 1 | x' = y, y' = -x & x < 2}", {}, 6.0, 7e-2),
+    ("{0, 0, 1 | p' = v, v' = u - 0.1 * v, q' = min(q, 2) * w & p < 50}", {"u": 1.5, "w": 0.5}, 3.0, 1e-2),
+    ("{0 | x' = 1 & x < 1}(z) . 0 || {1, 2 | a' = b / (a + 1), b' = sqrt(b) - w & b < 3}", {"w": -0.25}, 4.0, 1e-2),
+])
+def test_compiled_loop_matches_a_reference_rk4(src, env, horizon, step):
+    p = parse_term(src)
+    env = {n: env[n.display] for n in free_names(p) if n.display in env}
+    cfg = IntegratorConfig(step=step)
+    times, rows, crossed = _reference_rk4(p, horizon, cfg, env)
+    res = continuous_step(p, horizon, cfg, env)
+    got_t = res.full_flow.times.tolist()
+    got_y = [tuple(r) for r in res.full_flow.values.tolist()]
+    # bit for bit: the accepted samples, then the stop or the horizon
+    assert [repr(v) for v in got_t[: len(times)]] == [repr(v) for v in times]
+    assert [repr(r) for r in got_y[: len(rows)]] == [repr(r) for r in rows]
+    assert len(got_t) <= len(times) + 1
+    if crossed is None:
+        assert res.duration == horizon and not res.stops
+    else:
+        # the stop falls inside the same step
+        assert times[-1] < res.duration <= crossed and res.stops
+
+
+def test_max_substeps_refuses_a_long_evolution():
+    cfg = IntegratorConfig(max_substeps=10)
+    with pytest.raises(StepOverflow, match="more than 10 substeps"):
+        continuous_step(parse_term("{0 | x' = 1}"), 1.0, cfg)
+    res = continuous_step(parse_term("{0 | x' = 1}"), 0.0105, cfg)  # 11 steps pass
+    assert res.duration == 0.0105 and len(res.full_flow.times) == 12
+
+
+def test_blow_up_names_the_first_non_finite_sample():
+    # x' = x*x from 1 blows up at t = 1; the stepper overflows to inf a few
+    # steps later.  The message names the first non-finite sample's time,
+    # also when the state has more than one variable.
+    for src in ("{1 | x' = x * x}", "{0, 1 | y' = 1, x' = x * x}"):
+        with pytest.raises(UndefinedDynamics, match=r"not finite 1\.003 s into"):
+            continuous_step(parse_term(src), 3.0, IntegratorConfig(step=1e-3))
