@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -269,16 +269,7 @@ class ConditionReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "where": self.where,
-            "samples": self.samples,
-            "min_margin": self.min_margin,
-            "max_margin": self.max_margin,
-            "ok": self.ok,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _report(cond, where, vals, pts, coords, ok_mask) -> ConditionReport:
@@ -395,14 +386,14 @@ def _set_to_json(s: Optional[SetDesc]):
 def _from_json(text: str, what: str, build):
     """build(the JSON object in text), with a missing or malformed part
     reported as an HpiError instead of a KeyError or TypeError."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise HpiError(f"{what}: expected a JSON object, got {type(obj).__name__}")
     try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise HpiError(f"expected a JSON object, got {type(obj).__name__}")
         return build(obj)
     except KeyError as e:
         raise HpiError(f"{what}: missing {e.args[0]!r}") from None
-    except HpiError as e:
+    except (HpiError, json.JSONDecodeError) as e:
         raise HpiError(f"{what}: {e}") from None
     except (TypeError, AttributeError, IndexError, ValueError) as e:
         raise HpiError(f"{what}: malformed ({e})") from None

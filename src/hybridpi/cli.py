@@ -45,7 +45,11 @@ EXIT_MODEL = 3
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("HYBRIDPI_SEED", "0"))
+    v = os.environ.get("HYBRIDPI_SEED", "0")
+    try:
+        return int(v)
+    except ValueError:
+        raise HpiError(f"HYBRIDPI_SEED: {v!r} is not an integer") from None
 
 
 def _read(path: str) -> str:
@@ -61,7 +65,7 @@ def _load_json(path: str, load, *args):
     text = _read(path)
     try:
         return load(text, *args)
-    except HpiError as e:
+    except (HpiError, json.JSONDecodeError) as e:
         raise HpiError(f"{path}: {e}") from None
 
 
@@ -124,7 +128,7 @@ def _load_scenarios(path):
     {"u": 0.1} or piecewise profiles [[t, {"u": v}], ...]."""
     if path is None:
         return [None]
-    data = json.loads(_read(path))
+    data = _load_json(path, json.loads)
     if isinstance(data, dict):
         data = data.get("scenarios", [])
     out = []
@@ -399,14 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except zoo.ModelNotFound as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
         return EXIT_MODEL
-    except (HpiError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (HpiError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
     except RecursionError:

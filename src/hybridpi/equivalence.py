@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -283,16 +283,7 @@ class ApproxVerdict:
     per_scenario: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "eps": self.eps,
-            "delta": self.delta,
-            "max_distance": self.max_distance,
-            "max_skew": self.max_skew,
-            "scenarios": self.scenarios,
-            "counterexample": self.counterexample,
-            "per_scenario": self.per_scenario,
-        }
+        return asdict(self)
 
 
 def bind_env(p: Process, spec):

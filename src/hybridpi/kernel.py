@@ -10,7 +10,10 @@ duration, the ready set, the successor process, the cells that stopped and
 the joint flow of every cell variable.  The system's RK4 stepper is
 compiled once per shape: the generated source of its fields and
 boundaries, over positional state, environment and constant parameters,
-is the key of the stepper cache.  The compiled ``make(env, consts)``
+is the key of the stepper cache.  The walk that generates that source is
+the only place that tells state, environment and constant apart: a name
+that no cell guarantees is an environment name, numbered in the order
+the walk first meets it.  The compiled ``make(env, consts)``
 returns ``(advance, bounds)``: ``advance`` runs the whole fixed-step loop,
 recording the samples, up to the horizon or the first step that crosses a
 boundary, and ``bounds`` evaluates the boundaries at one state for the
@@ -46,7 +49,6 @@ from .syntax import (
     Sum,
     Tau,
     Var,
-    bool_names,
     constructs,
     expr_names,
     free_names,
@@ -372,7 +374,6 @@ class _CellInfo:
     site: Sum  # the Sum node holding the continuous branch
     prefix: Continuous
     cont: Process
-    tag: Optional[str]
 
 
 @dataclass
@@ -420,7 +421,7 @@ def _survey(p: Process, sv: Survey) -> frozenset:
                 live += 1
         if cont_branch is not None:
             pi, cont = cont_branch
-            sv.cells.append(_CellInfo(p, pi, cont, p.tag))
+            sv.cells.append(_CellInfo(p, pi, cont))
             return pi.ready
         if waiting:
             items = set()
@@ -456,44 +457,41 @@ def survey(p: Process) -> tuple[Survey, frozenset]:
     return sv, _survey(p, sv)
 
 
-def ready_set(p: Process) -> frozenset:
-    return survey(p)[1]
-
-
 # ---------------------------------------------------------------------------
 # Compiled RK4 steppers, cached per ODE-system shape.  The generated source
 # of the fields and boundaries is the only description of a system: state
-# variables are X{i}, environment names E{j} and numeric constants K{k}
-# (parameters, in walk order), so the key is the vector sizes and those
-# source strings, and every system of one shape shares one stepper.  A
+# variables are X{i}, environment names E{j} and numeric constants K{k}.
+# The source walk alone decides which a name is: a cell variable is state,
+# any other name is environment, and E{j} and K{k} are numbered in walk
+# order.  So the key is the vector sizes and those source strings, and
+# every system of one shape shares one stepper.  A
 # stepper is ``make(env, consts) -> (advance, bounds)``: ``advance`` is the
 # whole fixed-step RK4 loop, which returns at the horizon or at the first
 # step whose end fails a boundary; ``bounds`` evaluates the boundaries.
 # ---------------------------------------------------------------------------
 
 
-def _expr_src(e: Expr, names: dict, consts: list) -> str:
+def _expr_src(e: Expr, names: dict, env: list, consts: list) -> str:
     if isinstance(e, Const):
-        if not isinstance(e.value, (int, float)) or isinstance(e.value, bool):
-            raise UndefinedDynamics(f"non-numeric constant {e.value!r} in dynamics")
-        consts.append(float(e.value))
+        consts.append(e.value)
         return f"K{len(consts) - 1}"
     if isinstance(e, Var):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise OpenSystem(f"unbound continuous name {e.name.display!r}") from None
-    return OPERATORS[e.op].format(*[_expr_src(x, names, consts) for x in e.args])
+        src = names.get(e.name)
+        if src is None:  # first meeting of an environment name
+            src = names[e.name] = f"E{len(env)}"
+            env.append(e.name)
+        return src
+    return OPERATORS[e.op].format(*[_expr_src(x, names, env, consts) for x in e.args])
 
 
-def _bool_src(b: BoolExpr, names: dict, consts: list) -> str:
+def _bool_src(b: BoolExpr, names: dict, env: list, consts: list) -> str:
     if isinstance(b, BFalse):
         return "False"
     if isinstance(b, Less):
-        return f"({_expr_src(b.lhs, names, consts)} < {_expr_src(b.rhs, names, consts)})"
+        return f"({_expr_src(b.lhs, names, env, consts)} < {_expr_src(b.rhs, names, env, consts)})"
     if isinstance(b, BAnd):
-        return f"({_bool_src(b.lhs, names, consts)} and {_bool_src(b.rhs, names, consts)})"
-    return f"(not {_bool_src(b.arg, names, consts)})"
+        return f"({_bool_src(b.lhs, names, env, consts)} and {_bool_src(b.rhs, names, env, consts)})"
+    return f"(not {_bool_src(b.arg, names, env, consts)})"
 
 
 _compiled_cache: dict = {}
@@ -559,19 +557,20 @@ def _compile_system(n: int, m: int, k: int, fields: tuple, boundaries: tuple):
     return ns["_make"]
 
 
-def _get_stepper(vars_: tuple, fields: tuple, boundaries: tuple, env_names: tuple):
-    """The compiled maker for this system's shape, and the constant values
-    to call it with: ``make(env_vals, consts)``."""
+def _get_stepper(vars_: tuple, fields: tuple, boundaries: tuple):
+    """The compiled maker for this system's shape, the environment names
+    in walk order, and the constant values: call it as
+    ``make(values of the environment names, consts)``."""
     names = {v: f"X{i}" for i, v in enumerate(vars_)}
-    names.update({e: f"E{j}" for j, e in enumerate(env_names)})
+    env: list = []
     consts: list = []
-    fsrc = tuple(_expr_src(f, names, consts) for f in fields)
-    bsrc = tuple(_bool_src(b, names, consts) for b in boundaries)
-    key = (len(vars_), len(env_names), len(consts), fsrc, bsrc)
+    fsrc = tuple(_expr_src(f, names, env, consts) for f in fields)
+    bsrc = tuple(_bool_src(b, names, env, consts) for b in boundaries)
+    key = (len(vars_), len(env), len(consts), fsrc, bsrc)
     make = _compiled_cache.get(key)
     if make is None:
         make = _compiled_cache[key] = _compile_system(*key)
-    return make, tuple(consts)
+    return make, env, tuple(consts)
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +578,23 @@ def _get_stepper(vars_: tuple, fields: tuple, boundaries: tuple, env_names: tupl
 # ---------------------------------------------------------------------------
 
 
+TAU_EVENT = 1e-9  # bisection stops once the crossing is bracketed this tightly (s)
+MAX_SUBSTEPS = 50_000_000  # RK4 steps one evolution may take
+
+
 @dataclass
 class IntegratorConfig:
     step: float = 1e-3
-    tau_event: float = 1e-9
-    max_substeps: int = 50_000_000
 
     def __post_init__(self):
-        if not (0 < self.step < math.inf and 0 < self.tau_event < math.inf):
-            raise ValueError("step and tau_event must be positive and finite")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
 
 
 @dataclass
 class StopInfo:
     tag: Optional[str]
     values: dict  # Name -> float, the stopping cell's terminal state
-    binders: tuple
 
 
 @dataclass
@@ -641,7 +641,6 @@ def continuous_step(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    env = dict(env or {})
     sv, ready = survey(p)
     if sv.urgent:
         what, detail = sv.urgent[0]
@@ -650,49 +649,31 @@ def continuous_step(
         return None  # a component with no applicable rule blocks evolution
     if not sv.cells and not ready and is_nil(prune(p)):
         return None
-
     cells = sv.cells
-    all_vars: list[Name] = []
-    for c in cells:
-        all_vars.extend(c.prefix.vars)
-    if len(set(all_vars)) != len(all_vars):
-        raise OpenSystem("two parallel cells guarantee the same variable")
-    var_set = set(all_vars)
-
-    used: set[Name] = set()
-    for c in cells:
-        for e in c.prefix.fields:
-            used |= expr_names(e)
-        used |= bool_names(c.prefix.boundary)
-    external = used - var_set
-    missing = external - set(env)
-    if missing:
-        names = ", ".join(sorted(n.display for n in missing))
-        raise OpenSystem(f"variables without a defining cell or environment value: {names}")
-    env_names = tuple(sorted(external, key=lambda n: (n.display, n.id)))
-
     if not cells:
         # pure waiting: an empty flow of the full horizon
         return ContinuousResult(horizon, ready, p, [], None)
 
-    vars_ = tuple(all_vars)
-    init_state: dict = dict(env)
+    vars_ = tuple(v for c in cells for v in c.prefix.vars)
+    if len(set(vars_)) != len(vars_):
+        raise OpenSystem("two parallel cells guarantee the same variable")
+    fields = tuple(e for c in cells for e in c.prefix.fields)
+    boundaries = tuple(c.prefix.boundary for c in cells)
+    make, env_names, consts = _get_stepper(vars_, fields, boundaries)
+    env = env or {}
+    missing = [n.display for n in env_names if n not in env]
+    if missing:
+        names = ", ".join(sorted(missing))
+        raise OpenSystem(f"variables without a defining cell or environment value: {names}")
+
     y0 = []
     for c in cells:
         for e in c.prefix.init:
-            v = fl.eval_expr(e, init_state)
+            v = fl.eval_expr(e, env)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise UndefinedDynamics(f"initial value {e!r} does not evaluate to a real")
             y0.append(float(v))
-    fields = tuple(e for c in cells for e in c.prefix.fields)
-    boundaries = tuple(c.prefix.boundary for c in cells)
-
-    make, consts = _get_stepper(vars_, fields, boundaries, env_names)
-    env_vals = tuple(float(env[n]) for n in env_names)
-    try:
-        advance, bounds = make(env_vals, consts)
-    except (ZeroDivisionError, ValueError) as e:  # pragma: no cover
-        raise UndefinedDynamics(str(e)) from None
+    advance, bounds = make(tuple(float(env[n]) for n in env_names), consts)
 
     y = tuple(y0)
     try:
@@ -706,14 +687,14 @@ def continuous_step(
     samples = y0  # flat: one run of len(vars_) values per time
     try:
         eps = 1e-12 * max(1.0, horizon)
-        t, y, crossing = advance(0.0, y, cfg.step, horizon, eps, cfg.max_substeps, times, samples)
+        t, y, crossing = advance(0.0, y, cfg.step, horizon, eps, MAX_SUBSTEPS, times, samples)
         if crossing is None:
             t_stop, y_stop, status_ok = horizon, y, tuple(True for _ in cells)
         else:
             # bisect the crossing on the interpolated segment
             dt, y_new, ok_hi = crossing
             lo, hi = 0.0, 1.0
-            while (hi - lo) * dt > cfg.tau_event:
+            while (hi - lo) * dt > TAU_EVENT:
                 mid = 0.5 * (lo + hi)
                 ym = tuple(a + mid * (b - a) for a, b in zip(y, y_new))
                 okm = bounds(*ym)
@@ -753,14 +734,11 @@ def _finish(p, cells, vars_, times, samples, t_stop, y_stop, ok, ready):
         if ok[idx]:
             new_init = tuple(Const(v) for v in vals)
             pfx = Continuous(new_init, c.prefix.vars, c.prefix.fields, c.prefix.boundary, c.prefix.ready, c.prefix.binders)
-            repl[id(c.site)] = Sum(((pfx, c.cont),), tag=c.tag)
+            repl[id(c.site)] = Sum(((pfx, c.cont),), tag=c.site.tag)
         else:
-            if c.prefix.binders:
-                sub = Substitution({b: Const(v) for b, v in zip(c.prefix.binders, vals)})
-                repl[id(c.site)] = substitute(c.cont, sub)
-            else:
-                repl[id(c.site)] = c.cont
-            stops.append(StopInfo(c.tag, dict(zip(c.prefix.vars, vals)), c.prefix.binders))
+            sub = Substitution({b: Const(v) for b, v in zip(c.prefix.binders, vals)})
+            repl[id(c.site)] = substitute(c.cont, sub)
+            stops.append(StopInfo(c.site.tag, dict(zip(c.prefix.vars, vals))))
     successor = _rebuild(p, repl)
     full = fl.Flow(tuple(vars_), times, samples) if duration > 0 else None
     return ContinuousResult(duration, ready, successor, stops, full)

@@ -85,7 +85,7 @@ ARITY = {op: src.count("{}") for op, src in OPERATORS.items()}
 
 @dataclass(frozen=True)
 class Const:
-    value: Union[float, str]
+    value: float
 
 
 @dataclass(frozen=True)

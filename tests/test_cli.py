@@ -325,3 +325,32 @@ def test_lts_and_bisim_reject_a_non_finite_universe(hpc, tmp_path, capsys, value
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(e.startswith("error: universe values must be finite") for e in err)
     assert not out.exists()
+
+
+def test_arity_mismatch_is_model_exit(hpc, capsys):
+    f = hpc("ar.hpc", "run a(x) . 0 || a!<1, 2>;")
+    assert main(["simulate", f, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: arity mismatch: abstraction of 1 applied to 2 values\n"
+
+
+def test_bad_seed_env_variable_is_model_exit(hpc, monkeypatch, capsys):
+    f = hpc("w.hpc", model_text("wait.hpc"))
+    monkeypatch.setenv("HYBRIDPI_SEED", "abc")
+    assert main(["simulate", f, "--horizon", "1"]) == 3
+    assert capsys.readouterr().err == "error: HYBRIDPI_SEED: 'abc' is not an integer\n"
+
+
+def test_certcheck_truncated_json_names_file_and_part(hpc, capsys):
+    aut, _, err = _certcheck_error(hpc, capsys, model_text("automaton-h.json")[:100], None)
+    assert err.startswith(f"error: {aut}: automaton: Unterminated string")
+    _, cert, err = _certcheck_error(hpc, capsys, None, '{"phi": ')
+    assert err.startswith(f"error: {cert}: certificate: Expecting value: line 1 column 9")
+
+
+def test_approx_truncated_scenarios_name_the_file(hpc, capsys):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    sc = hpc("sc.json", '[{"u": 1}')
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sc}: Expecting ',' delimiter") and len(err.strip().splitlines()) == 1

@@ -4,9 +4,12 @@ linter is installed, so this walks each module's syntax tree: a name bound
 by an import must be read somewhere, in code or in a string annotation,
 and a function's parameters and assigned locals must be read in its body
 (nested functions included).  ``self``, ``cls`` and names starting with
-``_`` are exempt."""
+``_`` are exempt.  Every module-level private function, class and
+constant is referenced somewhere in the package besides its own
+definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,42 @@ def test_functions_read_their_parameters_and_locals(path):
         for u in _unread_in(fn)
     ]
     assert not unread, f"{path} has names it never reads: {'; '.join(unread)}"
+
+
+def _references(node) -> Counter:
+    """Names read, attributes taken and names imported under node."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    dead = [
+        f"{path}: {name} (line {node.lineno})"
+        for path, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if everywhere[name] - _references(node)[name] <= 0
+    ]
+    assert not dead, f"private definitions nothing references: {', '.join(dead)}"

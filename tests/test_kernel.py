@@ -8,11 +8,12 @@ from hybridpi.kernel import (
     IntegratorConfig,
     OpenSystem,
     Proc,
+    UndefinedDynamics,
     UrgencyViolation,
     apply,
     continuous_step,
     discrete_transitions,
-    ready_set,
+    survey,
 )
 from hybridpi.parser import parse_term, pretty
 from hybridpi.syntax import (
@@ -127,7 +128,7 @@ def test_enumeration_coherent_under_alpha_refresh():
 
 def test_ready_set_of_cell():
     cell = parse_term("{5, 0 | h' = v, v' = -9.8 ; ready v!, v?}")
-    r = ready_set(cell)
+    r = survey(cell)[1]
     assert {(n.display, pol) for n, pol in r} == {("v", True), ("v", False)}
 
 
@@ -193,3 +194,41 @@ def test_pure_waiting_blocks_nothing():
     res = continuous_step(p, 2.0, IntegratorConfig())
     assert res.duration == 2.0 and res.full_flow is None
     assert {n.display for n, _ in res.ready} == {"a"}
+
+
+# -- every exit of continuous_step --------------------------------------------
+
+
+def test_cell_outside_its_boundary_stops_at_once():
+    p = parse_term("{5 | x' = 1 & x < 1}(z) . a!<z>")
+    res = continuous_step(p, 1.0, IntegratorConfig(step=1e-3))
+    assert res.duration == 0.0 and res.full_flow is None
+    (stop,) = res.stops
+    assert stop.tag == "run:2:5"
+    assert {n.display: v for n, v in stop.values.items()} == {"x": 5.0}
+    # the stop value is passed to the continuation
+    assert pretty(res.process) == "a!<5>"
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_non_positive_horizon_is_refused(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        continuous_step(parse_term("{0 | x' = 1}"), horizon, IntegratorConfig())
+
+
+@pytest.mark.parametrize(
+    "src, horizon, message",
+    [
+        ("{u | x' = 1}", 1.0, r"initial value .* does not evaluate to a real"),
+        ("{0 | x' = 1 & sqrt(x - 2) < 1}", 1.0, "boundary undefined at start"),
+        ("{0, 0 | x' = 1, y' = sqrt(1 - x)}", 2.0, "dynamics undefined during integration"),
+    ],
+)
+def test_undefined_dynamics_exits(src, horizon, message):
+    with pytest.raises(UndefinedDynamics, match=message):
+        continuous_step(parse_term(src), horizon, IntegratorConfig(step=1e-3))
+
+
+def test_open_system_names_every_missing_variable_sorted():
+    with pytest.raises(OpenSystem, match=r"without a defining cell or environment value: a, b$"):
+        continuous_step(parse_term("{0 | x' = b + a}"), 1.0, IntegratorConfig())

@@ -72,8 +72,10 @@ _exprs = st.recursive(
 @given(_exprs, st.tuples(*[_values] * len(_XS)))
 def test_interpreter_matches_the_compiled_source(e, state):
     names = {x: f"X{i}" for i, x in enumerate(_XS)}
+    env: list = []
     consts: list = []
-    src = kernel._expr_src(e, names, consts)
+    src = kernel._expr_src(e, names, env, consts)
+    assert not env  # every name is a state variable
     scope = {f"X{i}": v for i, v in enumerate(state)}
     scope.update({f"K{k}": c for k, c in enumerate(consts)})
     try:
@@ -147,8 +149,9 @@ def test_compiled_loop_matches_a_reference_rk4(src, env, horizon, step):
         assert times[-1] < res.duration <= crossed and res.stops
 
 
-def test_max_substeps_refuses_a_long_evolution():
-    cfg = IntegratorConfig(max_substeps=10)
+def test_max_substeps_refuses_a_long_evolution(monkeypatch):
+    monkeypatch.setattr(kernel, "MAX_SUBSTEPS", 10)
+    cfg = IntegratorConfig()
     with pytest.raises(StepOverflow, match="more than 10 substeps"):
         continuous_step(parse_term("{0 | x' = 1}"), 1.0, cfg)
     res = continuous_step(parse_term("{0 | x' = 1}"), 0.0105, cfg)  # 11 steps pass
@@ -162,3 +165,13 @@ def test_blow_up_names_the_first_non_finite_sample():
     for src in ("{1 | x' = x * x}", "{0, 1 | y' = 1, x' = x * x}"):
         with pytest.raises(UndefinedDynamics, match=r"not finite 1\.003 s into"):
             continuous_step(parse_term(src), 3.0, IntegratorConfig(step=1e-3))
+
+
+def test_environment_names_are_numbered_in_walk_order(cache):
+    # u - w and w - u are one shape: the first environment name met is E0
+    for src, want in (("{0 | x' = u - w}", 1.0), ("{0 | x' = w - u}", -1.0)):
+        p = parse_term(src)
+        env = {n: {"u": 3.0, "w": 2.0}[n.display] for n in free_names(p) if n.display in "uw"}
+        (end,) = continuous_step(p, 1.0, IntegratorConfig(step=1e-2), env).full_flow.right_limit().values()
+        assert end == pytest.approx(want)
+    assert len(cache) == 1
