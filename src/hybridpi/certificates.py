@@ -57,14 +57,7 @@ class Polynomial:
 
     def __call__(self, point) -> float:
         # point: array-like in coords order
-        out = 0.0
-        for exp, c in self.terms:
-            v = c
-            for x, e in zip(point, exp):
-                if e:
-                    v *= x**e
-            out += v
-        return out
+        return float(self.eval_batch(np.asarray([point], dtype=float))[0])
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
         out = np.zeros(pts.shape[0])
@@ -157,14 +150,14 @@ class SetDesc:
     clauses: tuple = ((),)  # tuple of tuples of Polynomial
     box: Optional[dict] = None  # coord -> (lo, hi) overrides
 
-    def contains(self, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         if not self.clauses:
             return np.zeros(pts.shape[0], dtype=bool)
         ok = np.zeros(pts.shape[0], dtype=bool)
         for clause in self.clauses:
             good = np.ones(pts.shape[0], dtype=bool)
             for poly in clause:
-                good &= poly.eval_batch(pts) <= tol
+                good &= poly.eval_batch(pts) <= 0.0
             ok |= good
         return ok
 

@@ -44,7 +44,10 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else HYBRIDPI_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     v = os.environ.get("HYBRIDPI_SEED", "0")
     try:
         return int(v)
@@ -97,20 +100,20 @@ def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
         horizon=horizon,
         integrator=IntegratorConfig(step=step),
         policy=args.policy,
-        seed=args.seed,
+        seed=_seed(args),
     )
 
 
-def _write_artifacts(res, args) -> None:
-    if getattr(args, "out_trace", None):
+def _run(args, p, entry: zoo.ModelEntry = None) -> int:
+    """Simulate p, write the artifacts asked for, report on standard error."""
+    cfg = _sim_config(args, entry)
+    res = simulate(p, cfg, bind_env(p, _env_pairs(args.env) or (entry.env if entry else None)))
+    if args.out_trace:
         with open(args.out_trace, "w") as f:
             f.write(trace_to_jsonl(res.trace))
-    if getattr(args, "out_traj", None):
+    if args.out_traj:
         with open(args.out_traj, "w") as f:
             f.write(trajectory_to_csv(res.segments))
-
-
-def _report(res) -> None:
     for kind, where in res.diagnostics:
         print(f"warning: {kind}" + (f" at {where}" if where else ""), file=sys.stderr)
     parts = [f"status={res.status}", f"end={res.end_time:.6g}s", f"events={len(res.trace)}"]
@@ -118,6 +121,7 @@ def _report(res) -> None:
         acc = res.zeno.accumulation
         parts.append(f"zeno accumulation~{acc:.4g}s" if acc else "zeno")
     print(" ".join(parts), file=sys.stderr)
+    return EXIT_OK
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -167,12 +171,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    p = _load_entry(args.file)
-    cfg = _sim_config(args)
-    res = simulate(p, cfg, env=bind_env(p, _env_pairs(args.env) or None))
-    _write_artifacts(res, args)
-    _report(res)
-    return EXIT_OK
+    return _run(args, _load_entry(args.file))
 
 
 def cmd_lts(args) -> int:
@@ -256,7 +255,7 @@ def cmd_discretize(args) -> int:
         step = args.step
     else:
         box = [(-abs(args.box), abs(args.box))] * len(cell.vars)
-        lip = lipschitz_estimate(cell.vars, cell.fields, box, seed=args.seed)
+        lip = lipschitz_estimate(cell.vars, cell.fields, box, seed=_seed(args))
         step = suggest_step(args.eps, args.duration, lip)
         print(f"estimated Lipschitz constant {lip:.4g}, chose step {step:.4g}", file=sys.stderr)
     q = discretize(cell.init, cell.vars, cell.fields, args.duration, step)
@@ -272,7 +271,7 @@ def cmd_discretize(args) -> int:
 def cmd_certcheck(args) -> int:
     h = _load_json(args.automaton, automaton_from_json)
     cert = _load_json(args.certificate, certificate_from_json, h.all_coords)
-    result = check_certificate(h, cert, samples=args.samples, tol=args.tol, seed=args.seed)
+    result = check_certificate(h, cert, samples=args.samples, tol=args.tol, seed=_seed(args))
     if args.out:
         with open(args.out, "w") as f:
             json.dump({k: v for k, v in result.items() if k != "reports"}, f, indent=2)
@@ -304,28 +303,34 @@ def cmd_models(args) -> int:
     # run
     if inst.entry.id == "composed-automaton-H":
         raise HpiError("composed-automaton-H is an automaton; use `hybridpi certcheck` on its files")
-    p = inst.main.entry
-    cfg = _sim_config(args, inst.entry)
-    env = _env_pairs(args.env) or inst.entry.env
-    res = simulate(p, cfg, env=bind_env(p, env) if env else None)
-    _write_artifacts(res, args)
-    _report(res)
-    return EXIT_OK
+    return _run(args, inst.main.entry, inst.entry)
 
 
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_sim_flags(sp, with_env=True):
+def _add_seed_flag(sp):
+    sp.add_argument("--seed", type=int, default=None, help="random seed (default: HYBRIDPI_SEED, else 0)")
+
+
+def _add_sim_flags(sp, run=True):
+    """The simulation flags; with run, also the environment and output flags of a single run."""
     sp.add_argument("--horizon", type=float, default=None, help="simulation horizon in seconds")
     sp.add_argument("--step", type=float, default=None, help="integrator step in seconds")
-    sp.add_argument("--seed", type=int, default=_default_seed(), help="random seed (HYBRIDPI_SEED)")
+    _add_seed_flag(sp)
     sp.add_argument("--policy", choices=("first", "random"), default="first")
-    sp.add_argument("--out-trace", metavar="FILE.jsonl", help="write the event trace here")
-    sp.add_argument("--out-traj", metavar="FILE.csv", help="write the trajectory table here")
-    if with_env:
+    if run:
+        sp.add_argument("--out-trace", metavar="FILE.jsonl", help="write the event trace here")
+        sp.add_argument("--out-traj", metavar="FILE.csv", help="write the trajectory table here")
         sp.add_argument("--env", action="append", metavar="NAME=VALUE",
                         help="bind a guaranteed variable to a constant (repeatable)")
+
+
+def _add_lts_flags(sp):
+    sp.add_argument("--universe", type=float, nargs="+", default=[0.0, 1.0],
+                    help="values substituted for input binders")
+    sp.add_argument("--depth", type=int, default=4, help="replication unfolding bound")
+    sp.add_argument("--max-states", type=int, default=4000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lts", help="enumerate the discrete transition system of a model file")
     sp.add_argument("file")
-    sp.add_argument("--universe", type=float, nargs="+", default=[0.0, 1.0],
-                    help="values substituted for input binders")
-    sp.add_argument("--depth", type=int, default=4, help="replication unfolding bound")
-    sp.add_argument("--max-states", type=int, default=4000)
+    _add_lts_flags(sp)
     sp.add_argument("--out", metavar="FILE.json")
     sp.set_defaults(fn=cmd_lts)
 
@@ -357,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("--mode", choices=("strong", "weak"), default="strong")
-    sp.add_argument("--universe", type=float, nargs="+", default=[0.0, 1.0])
-    sp.add_argument("--depth", type=int, default=4, help="replication unfolding bound")
-    sp.add_argument("--max-states", type=int, default=4000)
+    _add_lts_flags(sp)
     sp.set_defaults(fn=cmd_bisim)
 
     sp = sub.add_parser("approx", help="co-simulate two models and bound distance and time skew")
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenarios", metavar="FILE.json", help="scenario list (constants or piecewise profiles)")
     sp.add_argument("--jobs", type=int, default=1, help="parallel scenario batches")
     sp.add_argument("--out", metavar="FILE.json")
-    _add_sim_flags(sp, with_env=False)
+    _add_sim_flags(sp, run=False)
     sp.set_defaults(fn=cmd_approx)
 
     sp = sub.add_parser("discretize", help="replace a continuous prefix by a stepped recursion")
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--duration", type=float, required=True, help="evolution length to cover (s)")
     sp.add_argument("--step", type=float, default=None, help="override the suggested step")
     sp.add_argument("--box", type=float, default=10.0, help="half-width of the Lipschitz sampling box")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    _add_seed_flag(sp)
     sp.add_argument("--out", metavar="FILE.hpc")
     sp.set_defaults(fn=cmd_discretize)
 
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("certificate", metavar="CERT.json")
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    _add_seed_flag(sp)
     sp.add_argument("--out", metavar="REPORT.json")
     sp.set_defaults(fn=cmd_certcheck)
 

@@ -459,7 +459,6 @@ def lipschitz_estimate(
     vars_: Sequence[Name],
     field_: Sequence[Expr],
     box: Sequence[tuple],
-    samples: int = 10_000,
     seed: int = 0,
 ) -> float:
     """Max observed |f(a)-f(b)| / |a-b| over random pairs in the box."""
@@ -467,7 +466,7 @@ def lipschitz_estimate(
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     best = 0.0
-    for _ in range(samples):
+    for _ in range(10_000):
         a = lo + rng.random(len(box)) * (hi - lo)
         b = lo + rng.random(len(box)) * (hi - lo)
         den = float(np.max(np.abs(a - b)))

@@ -136,14 +136,6 @@ class Flow:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values.reshape(len(self.times), -1)
-        if self.values.shape != (len(self.times), len(self.names)):
-            raise ValueError("flow sample shape mismatch")
-        if len(self.times) < 2 and len(self.names) > 0:
-            raise ValueError("a flow needs at least two grid points")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("flow grid must be strictly increasing")
-        if self.times[0] != 0.0:
-            raise ValueError("flow grid must start at 0")
 
     @property
     def duration(self) -> float:

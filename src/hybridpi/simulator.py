@@ -1,6 +1,11 @@
 """Closed-system execution: urgent discrete steps interleaved with
 continuous evolution, with trace/trajectory recording, nondeterminism
-policies, and Zeno detection."""
+policies, and Zeno detection.
+
+Four fixed limits bound a run: more than ZENO_MAX_EVENTS discrete events
+within ZENO_WINDOW seconds aborts it as Zeno, more than MAX_EVENTS events
+in all is an error, and replication unfolds at most REPL_DEPTH times per
+enumeration."""
 
 from __future__ import annotations
 
@@ -24,6 +29,11 @@ from .kernel import (
 )
 from .syntax import HpiError, Process, Var, is_nil, prune, refresh
 
+ZENO_MAX_EVENTS = 1000
+ZENO_WINDOW = 1.0
+MAX_EVENTS = 2_000_000
+REPL_DEPTH = 64
+
 
 @dataclass
 class SimConfig:
@@ -31,14 +41,10 @@ class SimConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     policy: str = "first"  # first | random
     seed: int = 0
-    zeno_max_events: int = 1000
-    zeno_window: float = 1.0
-    repl_depth: int = 64
-    max_events: int = 2_000_000
 
     def __post_init__(self):
-        if not (0 < self.horizon < math.inf and self.zeno_window > 0):
-            raise ValueError("horizon must be positive and finite, and zeno window positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.policy not in ("first", "random"):
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -83,9 +89,7 @@ class Environment:
     """
 
     def __init__(self, spec):
-        if spec is None:
-            self.pieces = [(0.0, {})]
-        elif isinstance(spec, dict):
+        if isinstance(spec, dict):
             self.pieces = [(0.0, dict(spec))]
         else:
             pieces = sorted(((float(t), dict(d)) for t, d in spec), key=lambda x: x[0])
@@ -121,8 +125,8 @@ def _payload_values(payload) -> list:
     return out
 
 
-def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
-    environment = env if isinstance(env, Environment) else Environment(env)
+def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> SimResult:
+    environment = env or Environment({})
     rng = np.random.default_rng(cfg.seed) if cfg.policy == "random" else None
     p = refresh(p)
     t = 0.0
@@ -138,17 +142,17 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
         nonlocal n_events
         trace.append(ev)
         n_events += 1
-        if n_events > cfg.max_events:
-            raise HpiError(f"more than {cfg.max_events} events; raise max_events if intended")
+        if n_events > MAX_EVENTS:
+            raise HpiError(f"more than {MAX_EVENTS} events")
         recent.append(ev.time)
-        while recent and ev.time - recent[0] > cfg.zeno_window:
+        while recent and ev.time - recent[0] > ZENO_WINDOW:
             recent.popleft()
-        return len(recent) > cfg.zeno_max_events
+        return len(recent) > ZENO_MAX_EVENTS
 
     while t < cfg.horizon - 1e-12:
-        enum = discrete_transitions(p, cfg.repl_depth, counter=unfolds)
+        enum = discrete_transitions(p, REPL_DEPTH, counter=unfolds)
         if enum.truncated:
-            enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={cfg.repl_depth}"))
+            enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={REPL_DEPTH}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
         taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
         if taus:
@@ -175,7 +179,7 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
             if not enum.truncated:
                 raise
             raise UrgencyViolation(
-                f"{e}; replication unfolding was truncated at repl_depth={cfg.repl_depth}"
+                f"{e}; replication unfolding was truncated at repl_depth={REPL_DEPTH}"
             ) from None
         if res is None:
             if is_nil(prune(p)):
@@ -212,7 +216,7 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
 
     zeno = None
     if status == "zeno":
-        zeno = detect_zeno(trace, cfg.zeno_max_events, cfg.zeno_window)
+        zeno = detect_zeno(trace)
         trace.append(TraceEvent(t, "ZenoAbort", values=[zeno.accumulation] if zeno.accumulation else []))
     else:
         t = min(t, cfg.horizon)
@@ -224,7 +228,9 @@ def simulate(p: Process, cfg: SimConfig, env=None) -> SimResult:
 # ---------------------------------------------------------------------------
 
 
-def detect_zeno(trace: Sequence[TraceEvent], max_events: int = 1000, window: float = 1.0) -> ZenoReport:
+def detect_zeno(
+    trace: Sequence[TraceEvent], max_events: int = ZENO_MAX_EVENTS, window: float = ZENO_WINDOW
+) -> ZenoReport:
     """Flags dense event clusters; estimates the accumulation point by
     geometric extrapolation of the gaps between distinct event times."""
     times = []

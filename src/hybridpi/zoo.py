@@ -128,8 +128,9 @@ def load(id: str) -> ModelInstance:
         inst.automaton = automaton_h()
         inst.certificate = certificate_h()
         return inst
-    for role, fn in entry.files.items():
-        inst.models[role] = parse(model_text(fn))
+    # a file named for two roles is parsed once, in order of first naming
+    parsed = {fn: parse(model_text(fn)) for fn in dict.fromkeys(entry.files.values())}
+    inst.models = {role: parsed[fn] for role, fn in entry.files.items()}
     return inst
 
 

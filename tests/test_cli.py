@@ -182,10 +182,10 @@ def test_models_show_prints_sources(capsys):
 
 def test_seed_env_variable_sets_default(hpc, monkeypatch, capsys):
     monkeypatch.setenv("HYBRIDPI_SEED", "11")
-    from hybridpi.cli import build_parser
+    from hybridpi.cli import _sim_config, build_parser
 
     args = build_parser().parse_args(["simulate", "x.hpc"])
-    assert args.seed == 11
+    assert _sim_config(args).seed == 11
 
 
 def test_blow_up_is_model_exit_naming_the_time(hpc, tmp_path, capsys):
@@ -354,3 +354,34 @@ def test_approx_truncated_scenarios_name_the_file(hpc, capsys):
     assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sc}: Expecting ',' delimiter") and len(err.strip().splitlines()) == 1
+
+
+def test_bad_seed_env_variable_only_refuses_a_seed_it_would_supply(hpc, monkeypatch, capsys):
+    f = hpc("w.hpc", model_text("wait.hpc"))
+    d = hpc("d.hpc", "run a(v) . b!<v>;")
+    monkeypatch.setenv("HYBRIDPI_SEED", "abc")
+    assert main(["parse", d]) == 0
+    assert main(["lts", d]) == 0
+    assert main(["bisim", d, d]) == 0
+    assert main(["simulate", f, "--horizon", "1", "--seed", "5"]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_approx_takes_no_output_flags(hpc, capsys):
+    f = hpc("w.hpc", model_text("wait.hpc"))
+    for flag in ("--out-trace", "--out-traj"):
+        with pytest.raises(SystemExit) as e:
+            main(["approx", f, f, "--eps", "1", "--delta", "0", flag, "x"])
+        assert e.value.code == 2
+
+
+def test_event_limit_is_model_exit(hpc, monkeypatch, capsys):
+    from hybridpi import simulator
+
+    monkeypatch.setattr(simulator, "MAX_EVENTS", 10)
+    f = hpc("r.hpc", "run repl tau . a!<>;")
+    assert main(["simulate", f, "--horizon", "1"]) == 3
+    assert capsys.readouterr().err == "error: more than 10 events\n"

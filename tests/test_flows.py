@@ -60,7 +60,3 @@ def test_flow_basics_and_validation():
     assert f.duration == 2.0
     assert f.left()[x] == 1.0
     assert f.right_limit()[x] == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        Flow((x,), np.array([0.0, 1.0, 0.5]), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        Flow((x,), np.array([1.0, 2.0]), np.zeros((2, 1)))

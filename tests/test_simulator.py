@@ -1,10 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridpi import simulator
 from hybridpi.flows import Flow
 from hybridpi.kernel import IntegratorConfig
 from hybridpi.parser import parse, parse_term
@@ -133,7 +135,8 @@ TRACE_KIND = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "ac
 @given(st.integers(0, 2**32 - 1))
 def test_first_policy_trace_is_a_prefix_of_an_exhaustive_path(seed):
     p = parse_term(random_terms(seed, 1)[0])
-    res = simulate(p, sim_config(1.0, repl_depth=4))
+    with mock.patch.object(simulator, "REPL_DEPTH", 4):
+        res = simulate(p, sim_config(1.0))
     got = [(ev.kind, ev.chan) for ev in res.trace if ev.kind in TRACE_KIND.values()]
     paths = [[(TRACE_KIND[k], c) for k, c in path] for path in exhaustive_traces(p, max_depth=32, repl_depth=4)]
     # policy first always takes the first transition, so it walks the first path

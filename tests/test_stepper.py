@@ -6,15 +6,18 @@ the interpreter bit for bit, and keeps the substep and blow-up checks."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridpi import kernel
 from hybridpi.flows import UNDEFINED, eval_bool, eval_expr
+from hybridpi.equivalence import bind_env
 from hybridpi.kernel import IntegratorConfig, StepOverflow, UndefinedDynamics, continuous_step
 from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate
 from hybridpi.syntax import ARITY, OPERATORS, Const, Op, Var, free_names, fresh
+from hybridpi.zoo import load
 
 from conftest import sim_config
 
@@ -175,3 +178,27 @@ def test_environment_names_are_numbered_in_walk_order(cache):
         (end,) = continuous_step(p, 1.0, IntegratorConfig(step=1e-2), env).full_flow.right_limit().values()
         assert end == pytest.approx(want)
     assert len(cache) == 1
+
+
+def test_every_flow_grid_starts_at_zero_and_increases():
+    # Flow takes its grid unchecked, so the grids the stepper builds are
+    # checked here: the ball to its Zeno abort, a pure delay, two cells
+    # evolving jointly, a step cut by the horizon and a piecewise environment
+    ball, wait = load("ball"), load("wait")
+    two = parse_term("{0 | x' = 1 & x < 1} || {0 | y' = 2 & y < 3}")
+    ramp = parse_term("{0 | x' = u & x < 10}")
+    runs = [
+        simulate(ball.main.entry, sim_config(12.0, 1e-3)),
+        simulate(wait.main.entry, sim_config(wait.entry.horizon, wait.entry.step)),
+        simulate(two, sim_config(5.0)),
+        simulate(parse_term("{0 | x' = 1 & x < 5}"), sim_config(0.5037, 1e-2)),
+        simulate(ramp, sim_config(1.0, 1e-2), bind_env(ramp, [(0.0, {"u": 1.0}), (0.3, {"u": -1.0})])),
+    ]
+    assert runs[0].status == "zeno"
+    for res in runs:
+        assert res.segments
+        for _, flow in res.segments:
+            assert flow.times[0] == 0.0
+            assert len(flow.times) >= 2
+            assert np.all(np.diff(flow.times) > 0)
+            assert flow.values.shape == (len(flow.times), len(flow.names))

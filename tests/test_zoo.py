@@ -122,3 +122,9 @@ def test_vehicle_model_exchanges_control():
     res = simulate(inst.main.entry, sim_config(20.0, 1e-3))
     assert any(ev.kind == "Sync" for ev in res.trace)
     assert any(ev.kind == "Evolve" for ev in res.trace)
+
+
+def test_a_file_named_for_two_roles_is_parsed_once():
+    inst = load("spec-system")
+    assert inst.entry.files["main"] == inst.entry.files["system"]
+    assert inst.models["main"] is inst.models["system"]
