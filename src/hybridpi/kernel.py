@@ -3,7 +3,12 @@
 Discrete transitions take a process to an agent, and the agent's type is
 the move's label (Milner's commitments): a process after a silent move, an
 abstraction awaiting values after an input on the transition's channel, a
-concretion carrying values after an output on it.  Continuous evolution
+concretion carrying values after an output on it.  An enumeration names
+each move's kind, channel, payload, tags and shape (the agent's class) at
+once, and builds the agent only when it is read: the simulator reads the
+one move it commits.  A replication's copy is the memoised moves of its
+body under a fresh unfold stamp; the copy is refreshed and stamped only
+when one of its moves is committed or inspected.  Continuous evolution
 integrates every active ODE cell jointly, as one system, with fixed-step
 RK4 and localizes boundary crossings by bisection; a step reports its
 duration, the ready set, the successor process, the cells that stopped and
@@ -120,16 +125,71 @@ class Concretion:
 Agent = Union[Proc, Abstraction, Concretion]
 
 
-@dataclass
+# The step that builds a pending move's agent from the agent of its source
+# move: lift through a parallel (x: partner, y: True when the move is on the
+# left), wrap in a restriction chain (x: the names, outermost first), merge
+# a sync (source: the input side, x: the output side, y: the replication
+# kept beside the result, or None), or stamp an unfolded copy (x: suffix).
+_PAR, _NEW, _SYNC, _STAMP = range(4)
+
+
 class Transition:
     """One discrete move.  The agent is its label: a Proc is silent, an
-    Abstraction is an input on `chan` and a Concretion an output on `chan`."""
+    Abstraction is an input on `chan` and a Concretion an output on `chan`;
+    `shape` is that class, known at enumeration.  The agent itself is built
+    on first read, from its pending step, and then kept."""
 
-    agent: Agent
-    kind: str  # tau | pass | in | out | sense | actuate | sync
-    chan: Optional[Name] = None
-    payload: Optional[tuple] = None
-    tags: tuple = ()
+    __slots__ = ("kind", "chan", "payload", "tags", "shape", "_agent", "_step", "_src", "_x", "_y")
+
+    def __init__(self, kind, chan, payload, tags, shape, agent=None, step=None, src=None, x=None, y=None):
+        self.kind = kind  # tau | pass | in | out | sense | actuate | sync
+        self.chan = chan
+        self.payload = payload
+        self.tags = tags
+        self.shape = shape
+        self._agent = agent
+        self._step = step
+        self._src = src
+        self._x = x
+        self._y = y
+
+    @property
+    def agent(self) -> Agent:
+        if self._agent is None:
+            _force(self)
+        return self._agent
+
+
+def _move(agent: Agent, kind: str, chan: Optional[Name] = None, payload: Optional[tuple] = None, tags: tuple = ()):
+    """A move whose agent is built already."""
+    return Transition(kind, chan, payload, tags, type(agent), agent)
+
+
+def _force(t: Transition) -> None:
+    """Build t's agent: walk down its pending sources to one whose agent is
+    built (a sync forces its two sides in turn), then build each agent on
+    the way back up.  A built move drops its source."""
+    chain = []
+    while t._agent is None:
+        chain.append(t)
+        if t._step == _SYNC:
+            break
+        t = t._src
+    for t in reversed(chain):
+        step = t._step
+        if step == _PAR:
+            agent = par_agent(t._src._agent, t._x, t._y)
+        elif step == _NEW:
+            agent = t._src._agent
+            for n in reversed(t._x):
+                agent = restrict_agent(n, agent)
+        elif step == _STAMP:
+            agent = _stamp_agent(t._src._agent, t._x)
+        else:
+            merged = apply(t._src.agent, t._x.agent)
+            agent = Proc(merged if t._y is None else Parallel(merged, t._y))
+        t._agent = agent
+        t._src = t._x = t._y = None
 
 
 @dataclass
@@ -213,15 +273,15 @@ def _sum_transitions(p: Sum, res: Enumeration):
     for pi, cont in p.branches:
         tag = (p.tag,) if p.tag else ()
         if isinstance(pi, Tau):
-            out.append(Transition(Proc(cont), "tau", tags=tag))
+            out.append(_move(Proc(cont), "tau", tags=tag))
         elif isinstance(pi, Input):
-            out.append(Transition(Abstraction(pi.binders, cont), "in", pi.chan, tags=tag))
+            out.append(_move(Abstraction(pi.binders, cont), "in", pi.chan, tags=tag))
         elif isinstance(pi, Output):
-            out.append(Transition(Concretion((), pi.payload, cont), "out", pi.chan, pi.payload, tag))
+            out.append(_move(Concretion((), pi.payload, cont), "out", pi.chan, pi.payload, tag))
         elif isinstance(pi, Guard):
             v = fl.eval_bool(pi.cond)
             if v is True:
-                out.append(Transition(Proc(cont), "pass", tags=tag))
+                out.append(_move(Proc(cont), "pass", tags=tag))
             elif v is fl.UNDEFINED:
                 res.diagnostics.append(("undefined-guard", p.tag))
         elif isinstance(pi, Continuous):
@@ -230,12 +290,12 @@ def _sum_transitions(p: Sum, res: Enumeration):
             for v, pol in items:
                 i = pi.vars.index(v)
                 if pol:  # sense: emit the current value
-                    out.append(Transition(Concretion((), (pi.init[i],), keep), "sense", v, (pi.init[i],), tag))
+                    out.append(_move(Concretion((), (pi.init[i],), keep), "sense", v, (pi.init[i],), tag))
                 else:  # actuate: accept a fresh value
                     x = fresh(v.display + "'")
                     init1 = pi.init[:i] + (Var(x),) + pi.init[i + 1 :]
                     upd = Sum(((Continuous(init1, pi.vars, pi.fields, pi.boundary, pi.ready, pi.binders), cont),), tag=p.tag)
-                    out.append(Transition(Abstraction((x,), upd), "actuate", v, tags=tag))
+                    out.append(_move(Abstraction((x,), upd), "actuate", v, tags=tag))
     return out
 
 
@@ -245,12 +305,30 @@ def _spawns_replications(p: Process) -> bool:
     return isinstance(p, Replication) and Replication in constructs(p.body)
 
 
+def _unguarded_replication(p: Process) -> bool:
+    """True when a replication in p is reached without passing a prefix, so
+    that enumerating p unfolds it."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Replication):
+            return True
+        if isinstance(q, Parallel):
+            todo += (q.left, q.right)
+        elif isinstance(q, Restriction):
+            todo.append(q.body)
+    return False
+
+
 # Process nodes are immutable and successor terms share untouched subtrees,
 # so each node memoises its enumeration (see syntax.memo) together with the
-# depth, diagnostics and truncation it was computed with.  Replication
-# copies (and their unfold tags) freeze on first enumeration; reruns start
-# from a refreshed root, so the numbering stays reproducible.  A second
-# copy is built only where two copies can synchronise (see _trans_inner).
+# depth, diagnostics and truncation it was computed with.  The memoised
+# moves carry pending agents, built when first read (see Transition).
+# Replication copies (and their unfold tags) freeze on first enumeration;
+# reruns start from a refreshed root, so the numbering stays reproducible.
+# A copy is its body's memoised moves under the copy's stamp, refreshed
+# only when one of them is committed or inspected (see _copy); a second
+# copy is stamped only where two copies can synchronise (see _trans_inner).
 def _trans(p: Process, depth: int, res: Enumeration) -> list:
     if _spawns_replications(p):
         # never memoised: each instance spawned by such a factory must carry
@@ -274,8 +352,8 @@ def _trans(p: Process, depth: int, res: Enumeration) -> list:
     return out
 
 
-def _lift(t: Transition, agent: Agent) -> Transition:
-    return Transition(agent, t.kind, t.chan, t.payload, t.tags)
+def _lift(t: Transition, step: int, x, y=None) -> Transition:
+    return Transition(t.kind, t.chan, t.payload, t.tags, t.shape, None, step, t, x, y)
 
 
 def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list:
@@ -285,28 +363,51 @@ def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list
     out = []
     for tl in lefts:
         for tr in rights:
-            if isinstance(tl.agent, Abstraction) and isinstance(tr.agent, Concretion) and tl.chan == tr.chan:
+            if tl.shape is Abstraction and tr.shape is Concretion and tl.chan == tr.chan:
                 fi, co = tl, tr
-            elif isinstance(tl.agent, Concretion) and isinstance(tr.agent, Abstraction) and tl.chan == tr.chan:
+            elif tl.shape is Concretion and tr.shape is Abstraction and tl.chan == tr.chan:
                 fi, co = tr, tl
             else:
                 continue
-            merged = apply(fi.agent, co.agent)
-            if persist is not None:
-                merged = Parallel(merged, persist)
             kind = "sync"
             if "sense" in (tl.kind, tr.kind):
                 kind = "sense"
             elif "actuate" in (tl.kind, tr.kind):
                 kind = "actuate"
-            out.append(Transition(Proc(merged), kind, co.chan, co.payload, tl.tags + tr.tags))
+            out.append(Transition(kind, co.chan, co.payload, tl.tags + tr.tags, Proc, None, _SYNC, fi, co, persist))
     return out
 
 
-def _unfold(p: Replication, res: Enumeration) -> Process:
-    """A fresh copy of p's body, its tags stamped with a new unfold index."""
+def _stamp_agent(a: Agent, suffix: str) -> Agent:
+    """The agent of the same move in a copy refreshed with ``suffix``: a
+    refresh of a itself, its own binders or extruded names renewed too."""
+    if isinstance(a, Proc):
+        return Proc(refresh(a.body, suffix))
+    names = a.binders if isinstance(a, Abstraction) else a.restricted
+    new, sub = rename_apart(names, frozenset(names))
+    body = refresh(a.body, suffix, sub)
+    if isinstance(a, Abstraction):
+        return Abstraction(new, body)
+    return Concretion(new, a.payload if sub is None else tuple(subst_expr(e, sub) for e in a.payload), body)
+
+
+def _copy(p: Replication, depth: int, res: Enumeration) -> list:
+    """The transitions of a fresh copy of p's body, its tags stamped with a
+    new unfold index.  A body that unfolds replications of its own while it
+    is enumerated draws their stamps from a refreshed copy; any other body
+    lends its memoised transitions, stamped when forced."""
     res.counter[0] += 1
-    return refresh(p.body, f"#{res.counter[0]}")
+    suffix = f"#{res.counter[0]}"
+    if _unguarded_replication(p.body):
+        return _trans(refresh(p.body, suffix), depth, res)
+    outer, res.diagnostics = res.diagnostics, []
+    base = _trans(p.body, depth, res)
+    diags, res.diagnostics = res.diagnostics, outer
+    res.diagnostics += [(kind, f"{tag}{suffix}" if tag else tag) for kind, tag in diags]
+    return [
+        Transition(t.kind, t.chan, t.payload, tuple(g + suffix for g in t.tags), t.shape, None, _STAMP, t, suffix)
+        for t in base
+    ]
 
 
 def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
@@ -315,8 +416,8 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
     if isinstance(p, Parallel):
         lefts = _trans(p.left, depth, res)
         rights = _trans(p.right, depth, res)
-        out = [_lift(t, par_agent(t.agent, p.right, True)) for t in lefts]
-        out += [_lift(t, par_agent(t.agent, p.left, False)) for t in rights]
+        out = [_lift(t, _PAR, p.right, True) for t in lefts]
+        out += [_lift(t, _PAR, p.left, False) for t in rights]
         return out + _syncs(lefts, rights)
     if isinstance(p, Restriction):
         # a chain of restrictions in one pass: drop the transitions on any
@@ -326,14 +427,7 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
             names.append(p.name)
             p = p.body
         hidden = set(names)
-        out = []
-        for t in _trans(p, depth, res):
-            if isinstance(t.agent, Proc) or t.chan not in hidden:
-                agent = t.agent
-                for n in reversed(names):
-                    agent = restrict_agent(n, agent)
-                out.append(_lift(t, agent))
-        return out
+        return [_lift(t, _NEW, names) for t in _trans(p, depth, res) if t.shape is Proc or t.chan not in hidden]
     if isinstance(p, Replication):
         if depth <= 0:
             res.truncated = True
@@ -341,16 +435,16 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         # lazy unfolding: one copy covers single-participant transitions;
         # !P itself persists in targets.  Copies are alpha-equivalent with
         # free-name labels, so a second copy (for copy-to-copy syncs) is
-        # built only if the first has an input and an output on one channel.
-        # Else the counter skips the stamps it and its nested unfolds would
-        # have drawn, so every later stamp keeps its number.
+        # stamped only if the first has an input and an output on one
+        # channel.  Else the counter skips the stamps it and its nested
+        # unfolds would have drawn, so every later stamp keeps its number.
         before = res.counter[0]
-        base = _trans(_unfold(p, res), depth - 1, res)
-        out = [_lift(t, par_agent(t.agent, p, True)) for t in base]
-        ins = {t.chan for t in base if isinstance(t.agent, Abstraction)}
-        if any(isinstance(t.agent, Concretion) and t.chan in ins for t in base):
-            out += _syncs(base, _trans(_unfold(p, res), depth - 1, res), persist=p)
-        elif any(not isinstance(t.agent, Proc) for t in base):
+        base = _copy(p, depth - 1, res)
+        out = [_lift(t, _PAR, p, True) for t in base]
+        ins = {t.chan for t in base if t.shape is Abstraction}
+        if any(t.shape is Concretion and t.chan in ins for t in base):
+            out += _syncs(base, _copy(p, depth - 1, res), persist=p)
+        elif any(t.shape is not Proc for t in base):
             res.counter[0] += res.counter[0] - before
         return out
     raise TypeError(p)

@@ -154,7 +154,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
         if enum.truncated:
             enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={REPL_DEPTH}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
-        taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
+        taus = [tr for tr in enum.transitions if tr.shape is Proc]
         if taus:
             tr = taus[0] if rng is None else taus[int(rng.integers(len(taus)))]
             kind = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}[tr.kind]
@@ -281,7 +281,7 @@ def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> li
             out.append(acc)
             return
         enum = discrete_transitions(q, repl_depth)
-        taus = [tr for tr in enum.transitions if isinstance(tr.agent, Proc)]
+        taus = [tr for tr in enum.transitions if tr.shape is Proc]
         if not taus:
             out.append(acc)
             return

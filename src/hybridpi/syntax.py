@@ -440,17 +440,19 @@ def rename_apart(names: tuple, avoid: frozenset):
     return tuple(ren.get(n, n) for n in names), Substitution({k: Var(v) for k, v in ren.items()})
 
 
-def _scope(binders: tuple, s: Substitution, renew: bool):
+def _scope(binders: tuple, body: Process, s: Substitution, renew: bool):
     """The one binder rule: ``binders`` as rewritten, and the substitution
-    in force under them -- s without the binders, plus their renaming.
-    Renewing renames every binder to a fresh name; otherwise a binder is
-    renamed only where a name in s's range would be captured."""
+    in force under them in ``body`` -- s without the binders, plus their
+    renaming.  Renewing renames every binder to a fresh name; otherwise a
+    binder is renamed only where a name in the range of an entry of s whose
+    key is free in body would be captured."""
     if renew:
         new = tuple(map(fresh_like, binders))
         inner = Substitution(s.mapping)
         inner.mapping.update(zip(binders, map(Var, new)))
         return new, inner
-    inner = Substitution({k: v for k, v in s.mapping.items() if k not in binders})
+    live = free_names(body)
+    inner = Substitution({k: v for k, v in s.mapping.items() if k in live and k not in binders})
     if not inner:
         return binders, inner
     new, ren = rename_apart(binders, inner.free_in_range())
@@ -472,7 +474,7 @@ def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) ->
         tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
         return Sum(tuple(_rewrite_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
     if isinstance(p, Restriction):
-        (name,), inner = _scope((p.name,), s, renew)
+        (name,), inner = _scope((p.name,), p.body, s, renew)
         return Restriction(name, _rewrite(p.body, inner, renew, suffix))
     if isinstance(p, Parallel):
         return Parallel(_rewrite(p.left, s, renew, suffix), _rewrite(p.right, s, renew, suffix))
@@ -486,7 +488,7 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suf
     inner = s
     if isinstance(pi, Input):
         chan = s.name_for(pi.chan, "channel")
-        binders, inner = _scope(pi.binders, s, renew)
+        binders, inner = _scope(pi.binders, cont, s, renew)
         pi = Input(chan, binders)
     elif isinstance(pi, Output):
         pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
@@ -498,7 +500,7 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suf
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_bool(pi.boundary, s)
         rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
-        binders, inner = _scope(pi.binders, s, renew)
+        binders, inner = _scope(pi.binders, cont, s, renew)
         pi = Continuous(init, vars_, fields, boundary, rdy, binders)
     elif not isinstance(pi, Tau):
         raise TypeError(pi)

@@ -1,6 +1,7 @@
 """End-to-end acceptance checks: analytic oracles, desk-scale co-simulation
 bands, certificate margins, mobility provenance, and bitwise determinism."""
 
+import hashlib
 import math
 import time
 
@@ -346,6 +347,13 @@ def test_12_provenance_migrates_at_handovers(network_run):
 
     tp, pv = trajectory_series(res.segments, "p")
     assert pv[-1] == pytest.approx(15000.0, abs=5.0)
+
+
+def test_handover_copies_keep_their_stamps(network_run):
+    # the 450-s run commits moves of factory copies at every handover, so
+    # its trace pins the stamp each committed copy draws
+    digest = hashlib.sha256(trace_to_jsonl(network_run.trace).encode()).hexdigest()
+    assert digest == "a176e5b93e7fb608bf6f76cb92e812f3e63578619aa5799d36fd58447020cbd9"
 
 
 # -- determinism ---------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from hybridpi.parser import parse_term, pretty
 from hybridpi.syntax import (
+    Input,
     Parallel,
     Restriction,
     Substitution,
@@ -16,6 +17,7 @@ from hybridpi.syntax import (
     struct_congruent,
     substitute,
 )
+from hybridpi.zoo import load
 from termgen import random_terms
 
 NIL = Sum(())
@@ -74,6 +76,39 @@ def test_capture_avoidance():
     q = substitute(p, Substitution({y: Var(other_x)}))
     assert other_x in free_names(q)
     assert not alpha_equivalent(p, q)
+
+
+def _inputs(p):
+    """Every input prefix in p, continuations included, in walk order."""
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Sum):
+            out += [pi for pi, _ in q.branches if isinstance(pi, Input)]
+            todo += [cont for _, cont in reversed(q.branches)]
+        elif isinstance(q, Parallel):
+            todo += (q.right, q.left)
+        else:
+            todo.append(q.body)
+    return out
+
+
+def test_binder_is_renamed_only_where_a_substituted_name_occurs_under_it():
+    term = load("spec-system").models["system"].entry
+    while isinstance(term, Restriction):
+        term = term.body
+    inputs = _inputs(term)
+    (i,) = [i for i, pi in enumerate(inputs) if pi.chan.display == "channels"]
+    rx = inputs[i]
+    v = rx.binders[1]
+    assert v.display == "v"
+    # `channels` is free where the input sits but not under its binders
+    q = _inputs(substitute(term, Substitution({rx.chan: Var(v)})))[i]
+    assert q.chan == v and q.binders == rx.binders
+    # `handover` does occur under them, so a v flowing in would be captured
+    (handover,) = [n for n in free_names(term) if n.display == "handover"]
+    q = _inputs(substitute(term, Substitution({handover: Var(v)})))[i]
+    assert q.chan == rx.chan and q.binders[0] == rx.binders[0] and q.binders[1] != v
 
 
 def test_struct_congruence_commutes_parallel_and_sum():
