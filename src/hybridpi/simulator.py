@@ -5,7 +5,12 @@ policies, and Zeno detection.
 Four fixed limits bound a run: more than ZENO_MAX_EVENTS discrete events
 within ZENO_WINDOW seconds aborts it as Zeno, more than MAX_EVENTS events
 in all is an error, and replication unfolds at most REPL_DEPTH times per
-enumeration."""
+enumeration.
+
+A run keeps the names restricted at the root of its term aside, in run
+order, and steps the body alone: the simulator commits only silent moves,
+so such a restriction only hides its names from the ready set that an
+Evolve event reports, and the final process gets them back."""
 
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .kernel import (
     discrete_transitions,
     survey,
 )
-from .syntax import HpiError, Process, Var, is_nil, prune, refresh
+from .syntax import HpiError, Process, Restriction, Var, is_nil, prune, refresh, restrict
 
 ZENO_MAX_EVENTS = 1000
 ZENO_WINDOW = 1.0
@@ -125,10 +130,24 @@ def _payload_values(payload) -> list:
     return out
 
 
+def _peel(p: Process, names: list, hidden: set) -> Process:
+    """p without the restrictions at its root, whose names go to `names` and
+    `hidden`.  Binders stay distinct after `refresh` (a replication copy is
+    refreshed when one of its moves is forced), so none reuses a name kept
+    aside."""
+    while isinstance(p, Restriction):
+        names.append(p.name)
+        hidden.add(p.name)
+        p = p.body
+    return p
+
+
 def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> SimResult:
     environment = env or Environment({})
     rng = np.random.default_rng(cfg.seed) if cfg.policy == "random" else None
-    p = refresh(p)
+    names: list = []  # the run's private names, outermost first
+    hidden: set = set()
+    p = _peel(refresh(p), names, hidden)
     t = 0.0
     trace: list = []
     segments: list = []
@@ -166,7 +185,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
                 list(tr.tags),
             )
             overflow = note_discrete(ev)
-            p = prune(tr.agent.body)
+            p = _peel(prune(tr.agent.body), names, hidden)
             if overflow:
                 status = "zeno"
                 break
@@ -190,9 +209,8 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
                 trace.append(TraceEvent(t, "Deadlock", provenance=list(blocked)))
             break
         if res.duration > 0:
-            trace.append(
-                TraceEvent(t, "Evolve", values=[res.duration], provenance=[describe_ready(res.ready)])
-            )
+            ready = frozenset(i for i in res.ready if i[0] not in hidden)
+            trace.append(TraceEvent(t, "Evolve", values=[res.duration], provenance=[describe_ready(ready)]))
             if res.full_flow is not None:
                 segments.append((t, res.full_flow))
             t += res.duration
@@ -206,7 +224,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
             if note_discrete(ev):
                 status = "zeno"
                 break
-        p = prune(res.process)
+        p = _peel(prune(res.process), names, hidden)
         if status == "zeno":
             break
         if res.duration == 0 and not res.stops:
@@ -220,7 +238,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
         trace.append(TraceEvent(t, "ZenoAbort", values=[zeno.accumulation] if zeno.accumulation else []))
     else:
         t = min(t, cfg.horizon)
-    return SimResult(trace, segments, status, p, t, zeno, diagnostics)
+    return SimResult(trace, segments, status, prune(restrict(names, p)), t, zeno, diagnostics)
 
 
 # ---------------------------------------------------------------------------

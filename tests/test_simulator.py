@@ -22,8 +22,9 @@ from hybridpi.simulator import (
     _column_labels,
     trajectory_to_csv,
 )
-from hybridpi.syntax import fresh
-from hybridpi.zoo import load, model_text
+from hybridpi.equivalence import bind_env
+from hybridpi.syntax import alpha_equivalent, fresh
+from hybridpi.zoo import list_models, load, model_text
 from termgen import random_terms
 
 from conftest import sim_config
@@ -240,3 +241,61 @@ def test_sim_config_validation():
             SimConfig(horizon=bad)
         with pytest.raises(ValueError):
             IntegratorConfig(step=bad)
+
+
+# -- root-private names -----------------------------------------------------
+
+
+def _outcome(p, cfg, env=None):
+    res = simulate(p, cfg, env)
+    return res, (trace_to_jsonl(res.trace), trajectory_to_csv(res.segments), res.status, res.end_time, res.diagnostics)
+
+
+def assert_same_as_restrictions_in_the_term(p, cfg, env=None):
+    """simulate keeps root-private names aside; with `_peel` returning its
+    input, they stay in the term as restriction nodes, as the oracle."""
+    got, seen = _outcome(p, cfg, env)
+    with mock.patch.object(simulator, "_peel", lambda q, names, hidden: q):
+        want, expected = _outcome(p, cfg, env)
+    assert seen == expected
+    assert alpha_equivalent(got.final_process, want.final_process)
+    return got
+
+
+@pytest.mark.parametrize("policy", ["first", "random"])
+def test_root_private_names_change_no_bundled_run(policy):
+    entries = [e for e in list_models() if "main" in e.files]
+    assert len(entries) >= 7
+    for entry in entries:
+        p = load(entry.id).main.entry
+        cfg = sim_config(min(entry.horizon, 20.0), entry.step, policy=policy, seed=3)
+        assert_same_as_restrictions_in_the_term(p, cfg, bind_env(p, entry.env))
+
+
+@pytest.mark.parametrize("repl", [False, True])
+def test_root_private_names_change_no_generated_run(repl):
+    terms = random_terms(11, 60, budget=6, repl=repl)
+    # a self-synchronising copy grows the term at every step: a low Zeno
+    # bound ends such a run after a few dozen steps
+    with mock.patch.object(simulator, "REPL_DEPTH", 4), mock.patch.object(simulator, "ZENO_MAX_EVENTS", 40):
+        for i, text in enumerate(terms):
+            for policy in ("first", "random"):
+                cfg = sim_config(1.0, policy=policy, seed=i)
+                assert_same_as_restrictions_in_the_term(parse_term(f"new a . ({text})"), cfg)
+
+
+def _evolve_ready(text):
+    res = assert_same_as_restrictions_in_the_term(parse_term(text), sim_config(2.0))
+    return [ev.provenance for ev in res.trace if ev.kind == "Evolve"]
+
+
+def test_evolve_hides_a_waiting_root_private_channel():
+    # one evolution until the cell stops at x = 1, one waiting to the horizon
+    assert _evolve_ready("new c . (c() . 0 || {0 | x' = 1 & x < 1})") == [["{}"]] * 2
+    assert _evolve_ready("d() . 0 || {0 | x' = 1 & x < 1}") == [["{d?}"]] * 2
+
+
+def test_evolve_hides_a_name_extruded_to_the_root():
+    # the sync on d at time 0 leaves (new c) at the root of the term
+    text = "(new c . d!<c> . 0) || d(y) . (y() . 0 || e() . 0 || {0 | x' = 1 & x < 1})"
+    assert _evolve_ready(text) == [["{e?}"]] * 2
