@@ -7,7 +7,8 @@ times, meters for positions.
 
 Exit codes: 0 success (or: consistent / bisimilar / certificate holds),
 1 refuted / violated, 2 usage error, 3 model or input error, or a
-bisimulation left inconclusive because an LTS was cut off.
+bisimulation left inconclusive because an LTS was cut off or dropped
+instantiations.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ def cmd_lts(args) -> int:
             f.write(text)
     else:
         print(text)
-    print(f"states={len(lts.states)} bounded={lts.bounded} truncated={lts.truncated}", file=sys.stderr)
+    print(f"states={len(lts.states)} bounded={lts.bounded} truncated={lts.truncated} skipped={lts.skipped}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -201,9 +203,11 @@ def cmd_bisim(args) -> int:
                         max_states=args.max_states)
         for path in (args.file_a, args.file_b)
     }
-    # a cut-off LTS has lost edges, so neither verdict would be sound
+    # a cut-off LTS, or one that dropped instantiations, has lost edges, so
+    # neither verdict would be sound
     cut = [f"inconclusive: {path} hit max_states={args.max_states}" for path, l in ltss.items() if l.bounded]
     cut += [f"inconclusive: {path} hit repl depth={args.depth}" for path, l in ltss.items() if l.truncated]
+    cut += [f"inconclusive: {path} dropped {l.skipped} instantiations" for path, l in ltss.items() if l.skipped]
     if cut:
         print("\n".join(cut), file=sys.stderr)
         return EXIT_MODEL

@@ -32,14 +32,12 @@ from .kernel import (
 )
 from .simulator import Environment, SimConfig, simulate, trajectory_series
 from .syntax import (
-    BAnd,
     Const,
     Continuous,
     Expr,
     Guard,
     HpiError,
     Input,
-    Less,
     Name,
     NIL,
     Op,
@@ -133,7 +131,7 @@ def build_lts(
                 ok = True
                 for e in c.payload:
                     v = fl.eval_expr(subst_expr(e, ren))
-                    if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    if fl.is_real(v):
                         vals.append(float(v))
                     elif isinstance(v, Var):
                         vals.append(("name", v.name.display))
@@ -430,7 +428,7 @@ def discretize(
             (Const(0.0),) + tuple(Var(y) for y in ys),
             (c,) + ws,
             (Const(1.0),) + tuple(Const(0.0) for _ in ys),
-            Less(Var(c), dur),
+            Op("<", (Var(c), dur)),
             frozenset(),
         )
         return restrict((c,) + ws, Sum(((cell, cont),), tag=tag))
@@ -444,7 +442,7 @@ def discretize(
     tol = step * 1e-9
     full = (Guard(b_ge(Var(z), Const(step - tol))), step_cell(Const(step), "disc:step", recurse))
     partial = (
-        Guard(BAnd(Less(Const(tol), Var(z)), Less(Var(z), Const(step - tol)))),
+        Guard(Op("and", (Op("<", (Const(tol), Var(z))), Op("<", (Var(z), Const(step - tol)))))),
         step_cell(Var(z), "disc:final", NIL),
     )
     halt = (Guard(b_le(Var(z), Const(tol))), NIL)
@@ -474,7 +472,7 @@ def lipschitz_estimate(
             continue
         fa = [fl.eval_expr(f, dict(zip(vars_, a))) for f in field_]
         fb = [fl.eval_expr(f, dict(zip(vars_, b))) for f in field_]
-        if not all(isinstance(v, (int, float)) for v in fa + fb):
+        if not all(map(fl.is_real, fa + fb)):
             continue
         num = max(abs(u - w) for u, w in zip(fa, fb))
         best = max(best, num / den)

@@ -1,10 +1,14 @@
 """States, expression evaluation, and flows.
 
-A state maps names to IEEE-754 doubles.  Evaluation is partial: names
-outside the state stay residual, any operator over a non-real argument is
-undefined, as are division by zero and square roots of negatives.  A flow
-is the sampled trajectory of one continuous step: the joint state of every
-evolving cell on a strictly increasing time grid.
+A state maps names to IEEE-754 doubles.  Evaluation is partial and
+three-valued: an expression evaluates to a value (a real, or a bool for a
+condition), stays residual (a name outside the state), or is undefined.
+Division by zero, square roots of negatives and any operator over a
+residual or undefined argument are undefined; the one exception is
+``e < e`` over an identical residual, which is False.  ``and`` is strict:
+it is undefined when either side is, whatever the other side's value.  A
+flow is the sampled trajectory of one continuous step: the joint state of
+every evolving cell on a strictly increasing time grid.
 """
 
 from __future__ import annotations
@@ -15,17 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .syntax import (
-    ARITY,
-    OPERATORS,
-    BAnd,
-    BFalse,
-    BoolExpr,
-    Const,
-    Expr,
-    Less,
-    Var,
-)
+from .syntax import ARITY, OPERATORS, Const, Expr, Var
 
 
 class _Undefined:
@@ -48,12 +42,12 @@ UNDEFINED = _Undefined()
 State = dict  # Name -> float
 
 
-def _is_real(x) -> bool:
+def is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def eval_expr(e: Expr, s: Optional[State] = None):
-    """Evaluate to a real, a residual expression, or UNDEFINED."""
+    """Evaluate to a real, a bool, a residual name, or UNDEFINED."""
     if s is None:
         s = {}
     if isinstance(e, Const):
@@ -62,9 +56,12 @@ def eval_expr(e: Expr, s: Optional[State] = None):
         v = s.get(e.name)
         return e if v is None else v
     args = [eval_expr(a, s) for a in e.args]
-    if not all(_is_real(a) for a in args):
-        return UNDEFINED
-    return apply_op(e.op, args)
+    if all(isinstance(a, (int, float)) for a in args):  # reals and bools
+        return apply_op(e.op, args)
+    # identical residuals compare equal, so e < e is decidedly false
+    if e.op == "<" and args[0] == args[1] and args[0] is not UNDEFINED:
+        return False
+    return UNDEFINED
 
 
 def _compile_operators() -> dict:
@@ -90,31 +87,6 @@ def apply_op(op: str, args: Sequence[float]):
         return fn(*args)
     except (ZeroDivisionError, ValueError, OverflowError):
         return UNDEFINED
-
-
-def eval_bool(b: BoolExpr, s: Optional[State] = None):
-    """Three-valued: True, False, or UNDEFINED (propagated strictly)."""
-    if s is None:
-        s = {}
-    if isinstance(b, BFalse):
-        return False
-    if isinstance(b, Less):
-        l = eval_expr(b.lhs, s)
-        r = eval_expr(b.rhs, s)
-        if _is_real(l) and _is_real(r):
-            return l < r
-        # identical residuals compare equal, so e < e is decidedly false
-        if not isinstance(l, _Undefined) and not isinstance(r, _Undefined) and l == r:
-            return False
-        return UNDEFINED
-    if isinstance(b, BAnd):
-        l = eval_bool(b.lhs, s)
-        r = eval_bool(b.rhs, s)
-        if isinstance(l, _Undefined) or isinstance(r, _Undefined):
-            return UNDEFINED
-        return l and r
-    a = eval_bool(b.arg, s)
-    return UNDEFINED if isinstance(a, _Undefined) else not a
 
 
 # ---------------------------------------------------------------------------

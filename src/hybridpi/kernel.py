@@ -33,16 +33,12 @@ from typing import Optional, Union
 
 from . import flows as fl
 from .syntax import (
-    BAnd,
-    BFalse,
-    BoolExpr,
     Const,
     Continuous,
     Expr,
     Guard,
     HpiError,
     Input,
-    Less,
     Name,
     OPERATORS,
     Output,
@@ -252,7 +248,7 @@ def apply(f: Abstraction, c: Concretion) -> Process:
     norm = []
     for e in c.payload:
         v = fl.eval_expr(e)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if fl.is_real(v):
             norm.append(Const(float(v)))
         else:
             norm.append(e)
@@ -279,7 +275,7 @@ def _sum_transitions(p: Sum, res: Enumeration):
         elif isinstance(pi, Output):
             out.append(_move(Concretion((), pi.payload, cont), "out", pi.chan, pi.payload, tag))
         elif isinstance(pi, Guard):
-            v = fl.eval_bool(pi.cond)
+            v = fl.eval_expr(pi.cond)
             if v is True:
                 out.append(_move(Proc(cont), "pass", tags=tag))
             elif v is fl.UNDEFINED:
@@ -502,7 +498,7 @@ def _survey(p: Process, sv: Survey) -> frozenset:
                 sv.urgent.append(("tau", p.tag))
                 live += 1
             elif isinstance(pi, Guard):
-                v = fl.eval_bool(pi.cond)
+                v = fl.eval_expr(pi.cond)
                 if v is True:
                     sv.urgent.append(("pass", p.tag))
                     live += 1
@@ -578,16 +574,6 @@ def _expr_src(e: Expr, names: dict, env: list, consts: list) -> str:
     return OPERATORS[e.op].format(*[_expr_src(x, names, env, consts) for x in e.args])
 
 
-def _bool_src(b: BoolExpr, names: dict, env: list, consts: list) -> str:
-    if isinstance(b, BFalse):
-        return "False"
-    if isinstance(b, Less):
-        return f"({_expr_src(b.lhs, names, env, consts)} < {_expr_src(b.rhs, names, env, consts)})"
-    if isinstance(b, BAnd):
-        return f"({_bool_src(b.lhs, names, env, consts)} and {_bool_src(b.rhs, names, env, consts)})"
-    return f"(not {_bool_src(b.arg, names, env, consts)})"
-
-
 _compiled_cache: dict = {}
 
 
@@ -659,7 +645,7 @@ def _get_stepper(vars_: tuple, fields: tuple, boundaries: tuple):
     env: list = []
     consts: list = []
     fsrc = tuple(_expr_src(f, names, env, consts) for f in fields)
-    bsrc = tuple(_bool_src(b, names, env, consts) for b in boundaries)
+    bsrc = tuple(_expr_src(b, names, env, consts) for b in boundaries)
     key = (len(vars_), len(env), len(consts), fsrc, bsrc)
     make = _compiled_cache.get(key)
     if make is None:
@@ -764,7 +750,7 @@ def continuous_step(
     for c in cells:
         for e in c.prefix.init:
             v = fl.eval_expr(e, env)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
+            if not fl.is_real(v):
                 raise UndefinedDynamics(f"initial value {e!r} does not evaluate to a real")
             y0.append(float(v))
     advance, bounds = make(tuple(float(env[n]) for n in env_names), consts)

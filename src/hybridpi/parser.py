@@ -21,8 +21,9 @@ Process grammar (`#` starts a line comment):
 
 `mu x(y1,...) @ <e1,...> . P` expands to `new x . (x!<e1,...> || repl x(y1,...).P)`.
 Binder-form bodies extend as far right as possible; parenthesize to cut them
-short.  Bool operators are spelled `and`, `or`, `not`, with comparisons
-`< <= > >= == !=` between arithmetic expressions.
+short.  Conditions are spelled with `and`, `or`, `not`, `true`, `false` and
+the comparisons `< <= > >= == !=` between arithmetic expressions; they
+parse to the syntax's kernel connectives.
 """
 
 from __future__ import annotations
@@ -33,17 +34,12 @@ from typing import Optional
 
 from .syntax import (
     ARITY,
-    BAnd,
-    BFalse,
-    BNot,
-    BoolExpr,
     Const,
     Continuous,
     Expr,
     Guard,
     HpiError,
     Input,
-    Less,
     Name,
     NIL,
     Op,
@@ -55,6 +51,7 @@ from .syntax import (
     Restriction,
     Substitution,
     Sum,
+    TRUE,
     Tau,
     Var,
     b_eq,
@@ -63,7 +60,6 @@ from .syntax import (
     b_le,
     b_ne,
     b_or,
-    b_true,
     free_names,
     fresh,
     is_nil,
@@ -462,7 +458,7 @@ class _Parser:
             self.fail("ready item needs ! (sense) or ? (actuate)")
 
         self.comma_list(ode)
-        boundary = b_true()
+        boundary = TRUE
         if self.at("&"):
             self.next()
             boundary = self.parse_bool()
@@ -549,36 +545,36 @@ class _Parser:
             return Var(self.resolve(t.text))
         self.fail("expected an expression")
 
-    # -- booleans -----------------------------------------------------------
+    # -- conditions ---------------------------------------------------------
 
-    def parse_bool(self) -> BoolExpr:
+    def parse_bool(self) -> Expr:
         b = self.parse_band()
         while self.at("or"):
             self.next()
             b = b_or(b, self.parse_band())
         return b
 
-    def parse_band(self) -> BoolExpr:
+    def parse_band(self) -> Expr:
         b = self.parse_bnot()
         while self.at("and"):
             self.next()
-            b = BAnd(b, self.parse_bnot())
+            b = Op("and", (b, self.parse_bnot()))
         return b
 
-    def parse_bnot(self) -> BoolExpr:
+    def parse_bnot(self) -> Expr:
         if self.at("not"):
             self.next()
-            return BNot(self.parse_bnot())
+            return Op("not", (self.parse_bnot(),))
         return self.parse_batom()
 
-    def parse_batom(self) -> BoolExpr:
+    def parse_batom(self) -> Expr:
         t = self.peek()
         if t.text == "true":
             self.next()
-            return b_true()
+            return TRUE
         if t.text == "false":
             self.next()
-            return BFalse()
+            return Op("false", ())
         if t.text == "(":
             save = self.i
             self.next()
@@ -590,17 +586,14 @@ class _Parser:
                 self.i = save  # parenthesized arithmetic; fall through
         return self.parse_comparison()
 
-    def parse_comparison(self) -> BoolExpr:
+    def parse_comparison(self) -> Expr:
         lhs = self.parse_expr()
         t = self.peek()
-        ops = {"<": None, "<=": b_le, ">": b_gt, ">=": b_ge, "==": b_eq, "!=": b_ne}
+        ops = {"<": lambda a, b: Op("<", (a, b)), "<=": b_le, ">": b_gt, ">=": b_ge, "==": b_eq, "!=": b_ne}
         if t.text not in ops:
             self.fail("expected a comparison operator")
         self.next()
-        rhs = self.parse_expr()
-        if t.text == "<":
-            return Less(lhs, rhs)
-        return ops[t.text](lhs, rhs)
+        return ops[t.text](lhs, self.parse_expr())
 
 
 def _graft(p: Process, cont: Process) -> Process:
@@ -675,43 +668,33 @@ class _Printer:
             return f"-{self.expr(e.args[0], 2)}"
         return f"{e.op}({', '.join(self.expr(a) for a in e.args)})"
 
-    def bool(self, b: BoolExpr, prec: int = 0) -> str:
+    def bool(self, b: Op, prec: int = 0) -> str:
         # sugar recognizers, outermost first
-        if isinstance(b, BNot):
-            a = b.arg
-            if isinstance(a, BFalse):
+        if b.op == "not":
+            (a,) = b.args
+            if a.op == "false":
                 return "true"
-            if isinstance(a, Less):
-                return self._cmp(a.rhs, "<=", a.lhs)
-            if isinstance(a, BAnd) and isinstance(a.lhs, BNot) and isinstance(a.rhs, BNot):
-                s = f"{self.bool(a.lhs.arg, 1)} or {self.bool(a.rhs.arg, 1)}"
+            if a.op == "<":
+                return self._cmp(a.args[1], "<=", a.args[0])
+            if a.op == "and" and all(x.op == "not" for x in a.args):
+                s = f"{self.bool(a.args[0].args[0], 1)} or {self.bool(a.args[1].args[0], 1)}"
                 return f"({s})" if prec > 0 else s
             return f"not {self.bool(a, 2)}"
-        if isinstance(b, BFalse):
+        if b.op == "false":
             return "false"
-        if isinstance(b, Less):
-            return self._cmp(b.lhs, "<", b.rhs)
-        eq = self._match_eq(b)
-        if eq is not None:
-            return self._cmp(eq[0], "==", eq[1])
-        s = f"{self.bool(b.lhs, 2)} and {self.bool(b.rhs, 2)}"
+        if b.op == "<":
+            return self._cmp(b.args[0], "<", b.args[1])
+        l, r = b.args
+        # a == b expands to not (a < b) and not (b < a)
+        if l.op == r.op == "not" and l.args[0].op == r.args[0].op == "<":
+            (lt,), (gt,) = l.args, r.args
+            if lt.args == gt.args[::-1]:
+                return self._cmp(lt.args[0], "==", lt.args[1])
+        s = f"{self.bool(l, 2)} and {self.bool(r, 2)}"
         return f"({s})" if prec > 1 else s
 
     def _cmp(self, l: Expr, op: str, r: Expr) -> str:
         return f"{self.expr(l)} {op} {self.expr(r)}"
-
-    def _match_eq(self, b: BAnd):
-        l, r = b.lhs, b.rhs
-        if (
-            isinstance(l, BNot)
-            and isinstance(l.arg, Less)
-            and isinstance(r, BNot)
-            and isinstance(r.arg, Less)
-            and l.arg.lhs == r.arg.rhs
-            and l.arg.rhs == r.arg.lhs
-        ):
-            return (l.arg.lhs, l.arg.rhs)
-        return None
 
     def prefix(self, pi: Prefix) -> str:
         if isinstance(pi, Tau):
@@ -725,7 +708,7 @@ class _Printer:
         init = ", ".join(self.expr(e) for e in pi.init)
         odes = ", ".join(f"{self.name(v)}' = {self.expr(f)}" for v, f in zip(pi.vars, pi.fields))
         s = f"{{{init} | {odes}"
-        if not (isinstance(pi.boundary, BNot) and isinstance(pi.boundary.arg, BFalse)):
+        if pi.boundary != TRUE:
             s += f" & {self.bool(pi.boundary)}"
         if pi.ready:
             items = sorted(pi.ready, key=lambda it: (self.name(it[0]), it[1]))

@@ -123,7 +123,7 @@ def _payload_values(payload) -> list:
     out = []
     for e in payload or ():
         v = fl.eval_expr(e)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if fl.is_real(v):
             out.append(float(v))
         else:
             out.append(v.name.display if isinstance(v, Var) else repr(v))

@@ -4,12 +4,14 @@ Processes are immutable trees built from sums of prefixed continuations,
 restriction, parallel composition and replication.  Names carry globally
 unique integer ids; alpha-renaming mints fresh ids from a session counter so
 the Barendregt convention (free and bound names disjoint) can be maintained
-mechanically.  The calculus has three binders: ``new``, input binders and a
-cell's continuation binders.  One walker, ``_rewrite`` with its one scope
-rule ``_scope``, rewrites under all three: ``substitute`` applies a
-substitution capture-avoidingly, and ``refresh`` renames every binder,
-stamps every tag and applies an optional substitution in a single pass
-(replication unfolding and definition instances).  Derived facts (free
+mechanically.  Conditions (guards and cell boundaries) are expressions
+over the connectives false, <, and, not; the other comparisons and ``or``
+are sugar over them.  The calculus has three binders: ``new``, input
+binders and a cell's continuation binders.  One walker, ``_rewrite`` with
+its one scope rule ``_scope``, rewrites under all three: ``substitute``
+applies a substitution capture-avoidingly, and ``refresh`` renames every
+binder, stamps every tag and applies an optional substitution in a single
+pass (replication unfolding and definition instances).  Derived facts (free
 names, enumerations, structural flags) are memoised in each node's own
 ``__dict__``, so a node must never be mutated or copied.
 """
@@ -70,6 +72,7 @@ def fresh_like(n: Name) -> Name:
 # Each operator's one definition: its Python source with a {} slot per
 # argument.  The compiled steppers format it (kernel._expr_src) and the
 # interpreter runs it compiled once (flows.apply_op); arity is the slot count.
+# ``and`` is ``&``, not Python's ``and``: both sides are always evaluated.
 OPERATORS = {
     "+": "({} + {})",
     "-": "({} - {})",
@@ -79,6 +82,10 @@ OPERATORS = {
     "min": "min({}, {})",
     "max": "max({}, {})",
     "neg": "(-{})",
+    "<": "({} < {})",
+    "and": "({} & {})",
+    "not": "(not {})",
+    "false": "False",
 }
 ARITY = {op: src.count("{}") for op, src in OPERATORS.items()}
 
@@ -110,84 +117,45 @@ Expr = Union[Const, Var, Op]
 
 
 def expr_names(e: Expr) -> frozenset[Name]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
     out: set[Name] = set()
-    for a in e.args:
-        out |= expr_names(a)
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Op):
+            todo += e.args
+        elif isinstance(e, Var):
+            out.add(e.name)
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# Boolean expressions (kernel: false, <, and, not; the rest is sugar)
-# ---------------------------------------------------------------------------
+# Condition sugar, expanded into the kernel connectives.  None may become an
+# operator: a native a <= b is False on NaN, its expansion not (b < a) True.
+
+TRUE = Op("not", (Op("false", ()),))
 
 
-@dataclass(frozen=True)
-class BFalse:
-    pass
+def b_le(a: Expr, b: Expr) -> Op:
+    return Op("not", (Op("<", (b, a)),))
 
 
-@dataclass(frozen=True)
-class Less:
-    lhs: Expr
-    rhs: Expr
+def b_ge(a: Expr, b: Expr) -> Op:
+    return Op("not", (Op("<", (a, b)),))
 
 
-@dataclass(frozen=True)
-class BAnd:
-    lhs: "BoolExpr"
-    rhs: "BoolExpr"
+def b_gt(a: Expr, b: Expr) -> Op:
+    return Op("<", (b, a))
 
 
-@dataclass(frozen=True)
-class BNot:
-    arg: "BoolExpr"
+def b_eq(a: Expr, b: Expr) -> Op:
+    return Op("and", (b_ge(a, b), b_le(a, b)))
 
 
-BoolExpr = Union[BFalse, Less, BAnd, BNot]
-
-BTRUE: BoolExpr = BNot(BFalse())
-
-
-def b_true() -> BoolExpr:
-    return BTRUE
+def b_ne(a: Expr, b: Expr) -> Op:
+    return Op("not", (b_eq(a, b),))
 
 
-def b_le(a: Expr, b: Expr) -> BoolExpr:
-    return BNot(Less(b, a))
-
-
-def b_ge(a: Expr, b: Expr) -> BoolExpr:
-    return BNot(Less(a, b))
-
-
-def b_gt(a: Expr, b: Expr) -> BoolExpr:
-    return Less(b, a)
-
-
-def b_eq(a: Expr, b: Expr) -> BoolExpr:
-    return BAnd(BNot(Less(a, b)), BNot(Less(b, a)))
-
-
-def b_ne(a: Expr, b: Expr) -> BoolExpr:
-    return BNot(b_eq(a, b))
-
-
-def b_or(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    return BNot(BAnd(BNot(a), BNot(b)))
-
-
-def bool_names(b: BoolExpr) -> frozenset[Name]:
-    if isinstance(b, BFalse):
-        return frozenset()
-    if isinstance(b, Less):
-        return expr_names(b.lhs) | expr_names(b.rhs)
-    if isinstance(b, BAnd):
-        return bool_names(b.lhs) | bool_names(b.rhs)
-    return bool_names(b.arg)
+def b_or(a: Expr, b: Expr) -> Op:
+    return Op("not", (Op("and", (Op("not", (a,)), Op("not", (b,)))),))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +182,7 @@ class Output:
 
 @dataclass(frozen=True)
 class Guard:
-    cond: BoolExpr
+    cond: Expr
 
 
 @dataclass(frozen=True)
@@ -222,7 +190,7 @@ class Continuous:
     init: tuple            # Expr per variable
     vars: tuple            # Name per variable, pairwise distinct
     fields: tuple          # Expr per variable (right-hand sides)
-    boundary: BoolExpr
+    boundary: Expr
     ready: frozenset       # (name, is_output) pairs: sense (True), actuate (False)
     binders: tuple = ()    # continuation binders; empty means final state dropped
 
@@ -346,7 +314,7 @@ def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]
             out |= expr_names(e)
         return out
     if isinstance(pi, Guard):
-        return cont_free | bool_names(pi.cond)
+        return cont_free | expr_names(pi.cond)
     if isinstance(pi, Continuous):
         out = cont_free - frozenset(pi.binders)
         out |= frozenset(pi.vars)
@@ -354,7 +322,7 @@ def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]
             out |= expr_names(e)
         for e in pi.fields:
             out |= expr_names(e)
-        out |= bool_names(pi.boundary)
+        out |= expr_names(pi.boundary)
         out |= {n for n, _ in pi.ready}
         return out
     raise TypeError(pi)
@@ -412,22 +380,11 @@ class Substitution:
 
 
 def subst_expr(e: Expr, s: Substitution) -> Expr:
-    if isinstance(e, Const):
-        return e
+    if isinstance(e, Op):
+        return Op(e.op, tuple([subst_expr(a, s) for a in e.args]))
     if isinstance(e, Var):
-        r = s.mapping.get(e.name)
-        return r if r is not None else e
-    return Op(e.op, tuple(subst_expr(a, s) for a in e.args))
-
-
-def subst_bool(b: BoolExpr, s: Substitution) -> BoolExpr:
-    if isinstance(b, BFalse):
-        return b
-    if isinstance(b, Less):
-        return Less(subst_expr(b.lhs, s), subst_expr(b.rhs, s))
-    if isinstance(b, BAnd):
-        return BAnd(subst_bool(b.lhs, s), subst_bool(b.rhs, s))
-    return BNot(subst_bool(b.arg, s))
+        return s.mapping.get(e.name, e)
+    return e
 
 
 def rename_apart(names: tuple, avoid: frozenset):
@@ -493,12 +450,12 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suf
     elif isinstance(pi, Output):
         pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
     elif isinstance(pi, Guard):
-        pi = Guard(subst_bool(pi.cond, s))
+        pi = Guard(subst_expr(pi.cond, s))
     elif isinstance(pi, Continuous):
         vars_ = tuple(s.name_for(v, "continuous variable") for v in pi.vars)
         init = tuple(subst_expr(e, s) for e in pi.init)
         fields = tuple(subst_expr(e, s) for e in pi.fields)
-        boundary = subst_bool(pi.boundary, s)
+        boundary = subst_expr(pi.boundary, s)
         rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
         binders, inner = _scope(pi.binders, cont, s, renew)
         pi = Continuous(init, vars_, fields, boundary, rdy, binders)
@@ -529,21 +486,13 @@ def refresh(p: Process, suffix: Optional[str] = None, s: Optional[Substitution] 
 
 
 def _canon_expr(e: Expr, env: dict[Name, str]) -> str:
+    if isinstance(e, Var):
+        return env.get(e.name) or f"f[{e.name.id}]"
     if isinstance(e, Const):
         return f"c[{e.value!r}]"
-    if isinstance(e, Var):
-        return env.get(e.name, f"f[{e.name.id}]")
-    return f"({e.op} {' '.join(_canon_expr(a, env) for a in e.args)})"
-
-
-def _canon_bool(b: BoolExpr, env: dict[Name, str]) -> str:
-    if isinstance(b, BFalse):
-        return "false"
-    if isinstance(b, Less):
-        return f"(< {_canon_expr(b.lhs, env)} {_canon_expr(b.rhs, env)})"
-    if isinstance(b, BAnd):
-        return f"(and {_canon_bool(b.lhs, env)} {_canon_bool(b.rhs, env)})"
-    return f"(not {_canon_bool(b.arg, env)})"
+    if not e.args:
+        return e.op
+    return f"({e.op} {' '.join(map(_canon_expr, e.args, itertools.repeat(env)))})"
 
 
 def _bind(env: dict[Name, str], depth: int, names: Sequence[Name]) -> dict[Name, str]:
@@ -593,7 +542,7 @@ def _canon_branch(pi: Prefix, cont: Process, env: dict[Name, str], depth: int, f
         args = " ".join(_canon_expr(e, env) for e in pi.payload)
         return f"(out {ch} [{args}] {_canon(cont, env, depth, flatten)})"
     if isinstance(pi, Guard):
-        return f"(guard {_canon_bool(pi.cond, env)} {_canon(cont, env, depth, flatten)})"
+        return f"(guard {_canon_expr(pi.cond, env)} {_canon(cont, env, depth, flatten)})"
     if isinstance(pi, Continuous):
         vars_ = " ".join(env.get(v, f"f[{v.id}]") for v in pi.vars)
         init = " ".join(_canon_expr(e, env) for e in pi.init)
@@ -603,7 +552,7 @@ def _canon_branch(pi: Prefix, cont: Process, env: dict[Name, str], depth: int, f
         )
         env2 = _bind(env, depth, pi.binders)
         return (
-            f"(ode [{vars_}] [{init}] [{fields}] {_canon_bool(pi.boundary, env)} "
+            f"(ode [{vars_}] [{init}] [{fields}] {_canon_expr(pi.boundary, env)} "
             f"{{{','.join(rdy)}}}/{len(pi.binders)} {_canon(cont, env2, depth + 1, flatten)})"
         )
     raise TypeError(pi)

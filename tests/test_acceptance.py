@@ -13,9 +13,9 @@ from hybridpi.equivalence import approx_bisim, bind_env, build_lts, discretize, 
 from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate, trace_to_jsonl, trajectory_series, trajectory_to_csv
 from hybridpi.syntax import (
-    BFalse,
     Const,
     Guard,
+    Op,
     Parallel,
     Restriction,
     Sum,
@@ -107,7 +107,7 @@ def test_04_algebraic_law_suite():
         assert bisimilar(Parallel(p, NIL), p), i
         # M + 0 ~ M: an inert alternative adds no behavior
         m = parse_term(gen.sum(4, ()), shared)
-        padded = Sum(m.branches + ((Guard(BFalse()), NIL),), tag=m.tag)
+        padded = Sum(m.branches + ((Guard(Op("false", ())), NIL),), tag=m.tag)
         assert bisimilar(padded, m), i
         # (new x)(P || Q) ~ P || (new x) Q  when x not free in P
         q = parse_term(genq.term(4), shared)
@@ -130,7 +130,7 @@ def test_04_algebraic_law_suite():
 
 def test_05_congruence_spot_checks():
     gen = TermGen(random.Random(31), chans=("a", "b"))
-    guard = Guard(BFalse())  # inert companion branch for the sum context
+    guard = Guard(Op("false", ()))  # inert companion branch for the sum context
     checked = 0
     for i in range(50):
         shared: dict = {}
@@ -139,9 +139,7 @@ def test_05_congruence_spot_checks():
         assert bisimilar(p, q)
         m = parse_term(gen.sum(3, ()), shared)
         r = parse_term(gen.term(3), shared)
-        from hybridpi.syntax import Less
-
-        b = Guard(Less(Const(0.0), Const(1.0)))
+        b = Guard(Op("<", (Const(0.0), Const(1.0))))
         for cp, cq in (
             (Sum(((b, p),) + m.branches), Sum(((b, q),) + m.branches)),
             (Restriction(fresh("x"), p), Restriction(fresh("x"), q)),

@@ -385,3 +385,26 @@ def test_event_limit_is_model_exit(hpc, monkeypatch, capsys):
     f = hpc("r.hpc", "run repl tau . a!<>;")
     assert main(["simulate", f, "--horizon", "1"]) == 3
     assert capsys.readouterr().err == "error: more than 10 events\n"
+
+
+def test_and_is_strict_in_boundaries_and_guards(hpc, capsys):
+    # `false and 1/0 < 1` is undefined, not false: the compiled boundary and
+    # the interpreted guard agree
+    cell = hpc("cell.hpc", "run {1 | x' = -1 & false and 1/0 < 1};")
+    assert main(["simulate", cell, "--horizon", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: boundary undefined at start")
+    guard = hpc("guard.hpc", "run [false and 1/0 < 1] . 0;")
+    assert main(["simulate", guard, "--horizon", "1"]) == 0
+    assert capsys.readouterr().err.startswith("warning: undefined-guard at run:1:5")
+
+
+def test_bisim_over_dropped_instantiations_is_inconclusive(hpc, tmp_path, capsys):
+    # the received value x is used as a channel: every numeric instantiation
+    # is dropped, so the LTS of a has lost its edges
+    a, b = hpc("a.hpc", "run a(x) . x!<>;"), hpc("b.hpc", "run 0;")
+    for mode in ("strong", "weak"):
+        assert main(["bisim", a, b, "--mode", mode]) == 3
+        err = capsys.readouterr().err
+        assert f"inconclusive: {a} dropped 2 instantiations" in err and "holds" not in err
+    assert main(["lts", a, "--out", str(tmp_path / "l.json")]) == 0
+    assert "skipped=2" in capsys.readouterr().err

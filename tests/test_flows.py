@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridpi.flows import UNDEFINED, apply_op, eval_bool, eval_expr, Flow
-from hybridpi.syntax import Const, Less, Op, Var, fresh
+from hybridpi.flows import UNDEFINED, apply_op, eval_expr, Flow
+from hybridpi.syntax import Const, Op, Var, fresh
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -41,12 +41,12 @@ def test_eval_expr_grounded_never_residual():
 
 def test_eval_bool_three_valued():
     x = fresh("x")
-    lt = Less(Var(x), Const(1.0))
-    assert eval_bool(lt, {x: 0.0}) is True
-    assert eval_bool(lt, {x: 2.0}) is False
-    assert eval_bool(lt) is UNDEFINED
+    lt = Op("<", (Var(x), Const(1.0)))
+    assert eval_expr(lt, {x: 0.0}) is True
+    assert eval_expr(lt, {x: 2.0}) is False
+    assert eval_expr(lt) is UNDEFINED
     # identical residuals: e < e is decidedly false
-    assert eval_bool(Less(Var(x), Var(x))) is False
+    assert eval_expr(Op("<", (Var(x), Var(x)))) is False
 
 
 def ramp(name, duration, start, slope, n=11):

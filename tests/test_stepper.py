@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridpi import kernel
-from hybridpi.flows import UNDEFINED, eval_bool, eval_expr
+from hybridpi.flows import UNDEFINED, eval_expr
 from hybridpi.equivalence import bind_env
 from hybridpi.kernel import IntegratorConfig, StepOverflow, UndefinedDynamics, continuous_step
 from hybridpi.parser import parse_term
@@ -55,6 +55,19 @@ def test_infinite_constant_is_a_blow_up_not_a_crash(cache):
         simulate(p, sim_config(1.0))
 
 
+def test_stepper_sources_are_pinned(cache):
+    # the field sources and the K/E numbering are the ones the earlier
+    # condition encoding gave; the boundary differs only in spelling the
+    # strict connective `and` as `&`, where it was Python's short-circuit `and`
+    p = parse_term("{1, 0 | h' = v, v' = -9.81 * h + w & h > 0 or v >= 0.5 and h == w}")
+    (c,) = kernel.survey(p)[0].cells
+    make, env, consts = kernel._get_stepper(c.prefix.vars, c.prefix.fields, (c.prefix.boundary,))
+    assert [n.display for n in env] == ["w"] and consts == (-9.81, 0.0, 0.5)
+    assert list(cache) == [(2, 1, 3, ("X1", "((K0 * X0) + E0)"), (
+        "(not ((not (K1 < X0)) & (not ((not (X1 < K2)) & ((not (X0 < E0)) & (not (E0 < X0)))))))",
+    ))]
+
+
 # -- the interpreter and the compiled source agree ----------------------------
 
 _XS = [fresh(f"x{i}") for i in range(3)]
@@ -62,17 +75,27 @@ _values = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 4.0, -4.0]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+# well-sorted terms only: arithmetic terms, and conditions over them built
+# from the connectives (an operator over a bool is not a term of the calculus)
+_CONNECTIVES = {"<", "and", "not", "false"}
 _exprs = st.recursive(
     st.one_of(st.sampled_from(_XS).map(Var), _values.map(Const)),
-    lambda kids: st.sampled_from(sorted(OPERATORS)).flatmap(
+    lambda kids: st.sampled_from(sorted(set(OPERATORS) - _CONNECTIVES)).flatmap(
         lambda op: st.tuples(*[kids] * ARITY[op]).map(lambda args: Op(op, args))
     ),
     max_leaves=10,
 )
+_conds = st.recursive(
+    st.one_of(st.just(Op("false", ())), st.tuples(_exprs, _exprs).map(lambda ab: Op("<", ab))),
+    lambda kids: st.one_of(
+        kids.map(lambda c: Op("not", (c,))), st.tuples(kids, kids).map(lambda ab: Op("and", ab))
+    ),
+    max_leaves=6,
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_exprs, st.tuples(*[_values] * len(_XS)))
+@given(st.one_of(_exprs, _conds), st.tuples(*[_values] * len(_XS)))
 def test_interpreter_matches_the_compiled_source(e, state):
     names = {x: f"X{i}" for i, x in enumerate(_XS)}
     env: list = []
@@ -116,7 +139,7 @@ def _reference_rk4(p, horizon, cfg, env):
         D = slopes([Y + dt*c for Y, c in zip(y, C)])
         y_new = [Y + dt*(a + 2.0*b + 2.0*c + d)/6.0 for Y, a, b, c, d in zip(y, A, B, C, D)]
         s = {**env, **dict(zip(vars_, y_new))}
-        if not all(eval_bool(c.prefix.boundary, s) is True for c in cells):
+        if not all(eval_expr(c.prefix.boundary, s) is True for c in cells):
             return times, rows, t + dt
         t += dt
         y = y_new

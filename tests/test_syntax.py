@@ -158,3 +158,22 @@ def test_pretty_is_reparseable_here():
     shared: dict = {}
     p = parse_term("new x . (a(v) . ([v < 1] . x!<v> + tau) || x(w))", shared)
     assert alpha_equivalent(parse_term(pretty(p), shared), p)
+
+
+# Conditions are operator terms; these keys are the ones the earlier
+# encoding (one class per connective) gave, byte for byte.
+@pytest.mark.parametrize("src, key", [
+    ("new a . a(x, y) . [x < 1 and not (y >= 2) or false] . 0",
+     "(new (sum (in b[0.0]/2 (sum (guard (not (and (not (and (< b[1.0] c[1.0]) (not (not (< b[1.1] c[2.0]))))) "
+     "(not false))) (sum ))))))"),
+    # every connective and every sugar form: < <= > >= == != and or not true false
+    ("new a . a(x, y) . [x < 1 and x <= y or not (y > 2) and (x >= 0 or x == y) and x != 3 and true or false] . 0",
+     "(new (sum (in b[0.0]/2 (sum (guard (not (and (not (not (and (not (and (< b[1.0] c[1.0]) (not (< b[1.1] b[1.0])))) "
+     "(not (and (and (and (not (< c[2.0] b[1.1])) (not (and (not (not (< b[1.0] c[0.0]))) (not (and (not (< b[1.0] "
+     "b[1.1])) (not (< b[1.1] b[1.0]))))))) (not (and (not (< b[1.0] c[3.0])) (not (< c[3.0] b[1.0]))))) "
+     "(not false)))))) (not false))) (sum ))))))"),
+])
+def test_canonical_key_of_every_connective_is_pinned(src, key):
+    p = parse_term(src)
+    assert canonical_key(p) == canonical_key(p, flatten=True) == key
+    assert canonical_key(parse_term(pretty(p))) == key
