@@ -410,9 +410,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except zoo.ModelNotFound as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return EXIT_MODEL
     except (HpiError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL

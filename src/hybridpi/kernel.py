@@ -59,6 +59,7 @@ from .syntax import (
     prune,
     refresh,
     rename_apart,
+    restrict,
     subst_expr,
     substitute,
 )
@@ -253,10 +254,7 @@ def apply(f: Abstraction, c: Concretion) -> Process:
         else:
             norm.append(e)
     body = substitute(f.body, Substitution(dict(zip(f.binders, norm))))
-    out: Process = Parallel(body, c.body)
-    for n in reversed(c.restricted):
-        out = Restriction(n, out)
-    return out
+    return restrict(c.restricted, Parallel(body, c.body))
 
 
 # ---------------------------------------------------------------------------

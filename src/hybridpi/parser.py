@@ -13,17 +13,23 @@ Process grammar (`#` starts a line comment):
     branch  := prefix ('.' chain)? | binder-form | '(' process ')' | call
     chain   := branch with binder-form bodies extending maximally right
     prefix  := 'tau' | name '(' names ')' | name '!' '<' exprs '>'
-             | '[' bool ']' | continuous
-    continuous := '{' exprs '|' odes ('&' bool)? (';' 'ready'? items)? '}'
+             | '[' cond ']' | continuous
+    continuous := '{' exprs '|' odes ('&' cond)? (';' 'ready'? items)? '}'
                   ('(' names ')')?
     binder-form := 'new' names '.' process | 'repl' process
                  | 'mu' name ('(' names ')')? ('@' '<' exprs '>')? '.' process
 
 `mu x(y1,...) @ <e1,...> . P` expands to `new x . (x!<e1,...> || repl x(y1,...).P)`.
 Binder-form bodies extend as far right as possible; parenthesize to cut them
-short.  Conditions are spelled with `and`, `or`, `not`, `true`, `false` and
-the comparisons `< <= > >= == !=` between arithmetic expressions; they
-parse to the syntax's kernel connectives.
+short.
+
+Conditions (`cond`) and arithmetic (`exprs`) are one grammar, read by
+precedence climbing over the binding levels of `_INFIX`, which the printer
+reads too.  Loosest first: 1 `or`, 2 `and`, 3 the non-associative
+comparisons `< <= > >= == !=` and the operand of `not`, 4 `+ -`, 5 `* /`,
+6 unary `-`, numbers, names, `min`/`max`/`sqrt` calls, `true`, `false` and
+`( ... )`.  `or`, `and` and `not` join conditions, as guards and boundaries
+must be; other positions read arithmetic from level 4, so `>` ends a payload.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Optional
 
 from .syntax import (
     ARITY,
+    CONNECTIVES,
     Const,
     Continuous,
     Expr,
@@ -64,6 +71,7 @@ from .syntax import (
     fresh,
     is_nil,
     refresh,
+    restrict,
 )
 
 
@@ -118,6 +126,40 @@ def tokenize(text: str) -> list:
         pos = m.end()
     toks.append(Token("eof", "", line, len(text) - bol + 1))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+# ---------------------------------------------------------------------------
+
+
+def _binary(op: str):
+    return lambda a, b: Op(op, (a, b))
+
+
+# Each surface infix operator's binding level (higher binds tighter) and the
+# term it builds; levels up to _CMP build conditions, the ones above arithmetic.
+_INFIX = {
+    "or": (1, b_or),
+    "and": (2, _binary("and")),
+    "<": (3, _binary("<")),
+    "<=": (3, b_le),
+    ">": (3, b_gt),
+    ">=": (3, b_ge),
+    "==": (3, b_eq),
+    "!=": (3, b_ne),
+    **{op: (4, _binary(op)) for op in "+-"},
+    **{op: (5, _binary(op)) for op in "*/"},
+}
+_CMP = _INFIX["<"][0]
+_ATOM = max(lv for lv, _ in _INFIX.values()) + 1
+
+
+def _check_sort(t: Token, e: Expr, cond: bool) -> Expr:
+    """e, if it is a condition exactly when `cond`; t is where it starts."""
+    if cond != (isinstance(e, Op) and e.op in CONNECTIVES):
+        raise ParseError(f"expected {'a condition' if cond else 'an arithmetic expression'}", t.line, t.col)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +350,7 @@ class _Parser:
             self.eat(".")
             body = self.parse_process()
             self.scope.pop()
-            for n in reversed(ns):
-                body = Restriction(n, body)
-            return body
+            return restrict(ns, body)
         if t.text == "repl":
             return Replication(self.parse_process())
         # mu name (params)? (@ <exprs>)? . process
@@ -324,7 +364,7 @@ class _Parser:
         if self.at("@"):
             self.next()
             self.eat("<")
-            start = self.comma_list(self.parse_expr, ">")
+            start = self.comma_list(self.parse_level, ">")
             self.eat(">")
         if len(start) != len(param_toks):
             raise ParseError(
@@ -375,7 +415,7 @@ class _Parser:
         args: list = []
         if self.at("("):
             self.next()
-            args = self.comma_list(self.parse_expr, ")")
+            args = self.comma_list(self.parse_level, ")")
             self.eat(")")
         params, body = self.defs[nm.text]
         if len(args) != len(params):
@@ -404,7 +444,7 @@ class _Parser:
             return Tau()
         if t.text == "[":
             self.next()
-            b = self.parse_bool()
+            b = self.parse_level(1, True)
             self.eat("]")
             return Guard(b)
         if t.text == "{":
@@ -415,7 +455,7 @@ class _Parser:
                 chan = self.resolve(self.next().text)
                 self.next()  # !
                 self.eat("<")
-                payload = self.comma_list(self.parse_expr, ">")
+                payload = self.comma_list(self.parse_level, ">")
                 self.eat(">")
                 return Output(chan, tuple(payload))
             if nxt.text == "(" and (t.text not in self.defs or self.lookup(t.text) is not None):
@@ -431,7 +471,7 @@ class _Parser:
 
     def parse_continuous(self) -> Continuous:
         t = self.eat("{")
-        init = self.comma_list(self.parse_expr)
+        init = self.comma_list(self.parse_level)
         self.eat("|")
         vars_: list = []
         fields: list = []
@@ -446,7 +486,7 @@ class _Parser:
             if v in vars_:
                 raise ParseError(f"duplicate ODE variable {nm.text!r}", nm.line, nm.col)
             vars_.append(v)
-            fields.append(self.parse_expr())
+            fields.append(self.parse_level())
 
         def ready_item():
             nm = self.ident()
@@ -461,7 +501,7 @@ class _Parser:
         boundary = TRUE
         if self.at("&"):
             self.next()
-            boundary = self.parse_bool()
+            boundary = self.parse_level(1, True)
         items = set()
         if self.at(";"):
             self.next()
@@ -487,113 +527,57 @@ class _Parser:
                 t.line,
                 t.col,
             )
-        try:
-            return Continuous(
-                tuple(init), tuple(vars_), tuple(fields), boundary, frozenset(items), tuple(binders)
-            )
-        except ValueError as e:
-            raise ParseError(str(e), t.line, t.col) from None
+        return Continuous(
+            tuple(init), tuple(vars_), tuple(fields), boundary, frozenset(items), tuple(binders)
+        )
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
-            e = Op(op, (e, self.parse_term()))
-        return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            e = Op(op, (e, self.parse_factor()))
-        return e
-
-    def parse_factor(self) -> Expr:
+    def parse_level(self, level: int = _CMP + 1, cond: Optional[bool] = False) -> Expr:
+        """An expression whose infix operators bind at `level` or tighter and
+        that is a condition (True), arithmetic (False, the default) or either."""
         t = self.peek()
-        if t.text == "-":
+        e = self.parse_operand()
+        while True:
+            lv, build = _INFIX.get(self.peek().text, (0, None))
+            if lv < level:
+                return e if cond is None else _check_sort(t, e, cond)
             self.next()
-            inner = self.parse_factor()
+            # or/and join conditions; the others take arithmetic operands
+            e = build(_check_sort(t, e, lv < _CMP), self.parse_level(lv + 1, lv < _CMP))
+
+    def parse_operand(self) -> Expr:
+        t = self.next()
+        if t.text == "not":
+            return Op("not", (self.parse_level(_CMP, True),))
+        if t.text == "-":
+            inner = self.parse_level(_ATOM)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Op("neg", (inner,))
+        if t.text == "true":
+            return TRUE
+        if t.text == "false":
+            return Op("false", ())
         if t.kind == "num":
-            self.next()
             return Const(float(t.text))
         if t.text == "(":
-            self.next()
-            e = self.parse_expr()
+            e = self.parse_level(1, None)
             self.eat(")")
             return e
         if t.kind == "ident" and t.text in FUNCS:
-            self.next()
             self.eat("(")
-            args = self.comma_list(self.parse_expr)
+            args = self.comma_list(self.parse_level)
             self.eat(")")
             want = ARITY[t.text]
             if len(args) != want:
                 raise ParseError(f"{t.text} takes {want} argument(s)", t.line, t.col)
             return Op(t.text, tuple(args))
         if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            c = None
-            if self.lookup(t.text) is None:
-                c = self.consts.get(t.text)
-            if c is not None:
-                return Const(c)
+            if self.lookup(t.text) is None and t.text in self.consts:
+                return Const(self.consts[t.text])
             return Var(self.resolve(t.text))
-        self.fail("expected an expression")
-
-    # -- conditions ---------------------------------------------------------
-
-    def parse_bool(self) -> Expr:
-        b = self.parse_band()
-        while self.at("or"):
-            self.next()
-            b = b_or(b, self.parse_band())
-        return b
-
-    def parse_band(self) -> Expr:
-        b = self.parse_bnot()
-        while self.at("and"):
-            self.next()
-            b = Op("and", (b, self.parse_bnot()))
-        return b
-
-    def parse_bnot(self) -> Expr:
-        if self.at("not"):
-            self.next()
-            return Op("not", (self.parse_bnot(),))
-        return self.parse_batom()
-
-    def parse_batom(self) -> Expr:
-        t = self.peek()
-        if t.text == "true":
-            self.next()
-            return TRUE
-        if t.text == "false":
-            self.next()
-            return Op("false", ())
-        if t.text == "(":
-            save = self.i
-            self.next()
-            try:
-                b = self.parse_bool()
-                self.eat(")")
-                return b
-            except ParseError:
-                self.i = save  # parenthesized arithmetic; fall through
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        lhs = self.parse_expr()
-        t = self.peek()
-        ops = {"<": lambda a, b: Op("<", (a, b)), "<=": b_le, ">": b_gt, ">=": b_ge, "==": b_eq, "!=": b_ne}
-        if t.text not in ops:
-            self.fail("expected a comparison operator")
-        self.next()
-        return ops[t.text](lhs, self.parse_expr())
+        raise ParseError("expected an expression", t.line, t.col)
 
 
 def _graft(p: Process, cont: Process) -> Process:
@@ -645,56 +629,48 @@ class _Printer:
         self.display[n] = s
         return s
 
-    # expressions, with precedence: 0 add, 1 mul, 2 atom
-    def expr(self, e: Expr, prec: int = 0) -> str:
+    def expr(self, e: Expr, level: int = 1) -> str:
+        """e in a context that binds at `level`, by the levels of _INFIX;
+        conditions print through the sugar they were most likely spelled in."""
         if isinstance(e, Const):
             v = e.value
             if v == int(v) and abs(v) < 1e16:
                 s = str(int(v))
             else:
                 s = f"{v:.17g}"
-            if v < 0 and prec > 0:
-                return f"({s})"
-            return s
+            return f"({s})" if v < 0 and level > _INFIX["-"][0] else s
         if isinstance(e, Var):
             return self.name(e.name)
-        if e.op in ("+", "-"):
-            s = f"{self.expr(e.args[0], 0)} {e.op} {self.expr(e.args[1], 1)}"
-            return f"({s})" if prec > 0 else s
-        if e.op in ("*", "/"):
-            s = f"{self.expr(e.args[0], 1)} {e.op} {self.expr(e.args[1], 2)}"
-            return f"({s})" if prec > 1 else s
-        if e.op == "neg":
-            return f"-{self.expr(e.args[0], 2)}"
-        return f"{e.op}({', '.join(self.expr(a) for a in e.args)})"
-
-    def bool(self, b: Op, prec: int = 0) -> str:
-        # sugar recognizers, outermost first
-        if b.op == "not":
-            (a,) = b.args
+        if e.op == "not":
+            (a,) = e.args
             if a.op == "false":
                 return "true"
             if a.op == "<":
-                return self._cmp(a.args[1], "<=", a.args[0])
+                return self.infix(a.args[1], "<=", a.args[0], level)
             if a.op == "and" and all(x.op == "not" for x in a.args):
-                s = f"{self.bool(a.args[0].args[0], 1)} or {self.bool(a.args[1].args[0], 1)}"
-                return f"({s})" if prec > 0 else s
-            return f"not {self.bool(a, 2)}"
-        if b.op == "false":
+                return self.infix(a.args[0].args[0], "or", a.args[1].args[0], level)
+            return f"not {self.expr(a, _CMP)}"
+        if e.op == "false":
             return "false"
-        if b.op == "<":
-            return self._cmp(b.args[0], "<", b.args[1])
-        l, r = b.args
-        # a == b expands to not (a < b) and not (b < a)
-        if l.op == r.op == "not" and l.args[0].op == r.args[0].op == "<":
-            (lt,), (gt,) = l.args, r.args
-            if lt.args == gt.args[::-1]:
-                return self._cmp(lt.args[0], "==", lt.args[1])
-        s = f"{self.bool(l, 2)} and {self.bool(r, 2)}"
-        return f"({s})" if prec > 1 else s
+        if e.op == "and":
+            l, r = e.args
+            # a == b expands to not (a < b) and not (b < a)
+            if l.op == r.op == "not" and l.args[0].op == r.args[0].op == "<":
+                (lt,), (gt,) = l.args, r.args
+                if lt.args == gt.args[::-1]:
+                    return self.infix(lt.args[0], "==", lt.args[1], level)
+        if e.op in _INFIX:
+            return self.infix(e.args[0], e.op, e.args[1], level)
+        if e.op == "neg":
+            return f"-{self.expr(e.args[0], _ATOM)}"
+        return f"{e.op}({', '.join(self.expr(a) for a in e.args)})"
 
-    def _cmp(self, l: Expr, op: str, r: Expr) -> str:
-        return f"{self.expr(l)} {op} {self.expr(r)}"
+    def infix(self, l: Expr, op: str, r: Expr, level: int) -> str:
+        lv = _INFIX[op][0]
+        # arithmetic chains print left-associated; conditions parenthesize
+        # a nested connective or comparison on either side
+        s = f"{self.expr(l, lv if lv > _CMP else lv + 1)} {op} {self.expr(r, lv + 1)}"
+        return f"({s})" if lv < level else s
 
     def prefix(self, pi: Prefix) -> str:
         if isinstance(pi, Tau):
@@ -704,12 +680,12 @@ class _Printer:
         if isinstance(pi, Output):
             return f"{self.name(pi.chan)}!<{', '.join(self.expr(e) for e in pi.payload)}>"
         if isinstance(pi, Guard):
-            return f"[{self.bool(pi.cond)}]"
+            return f"[{self.expr(pi.cond)}]"
         init = ", ".join(self.expr(e) for e in pi.init)
         odes = ", ".join(f"{self.name(v)}' = {self.expr(f)}" for v, f in zip(pi.vars, pi.fields))
         s = f"{{{init} | {odes}"
         if pi.boundary != TRUE:
-            s += f" & {self.bool(pi.boundary)}"
+            s += f" & {self.expr(pi.boundary)}"
         if pi.ready:
             items = sorted(pi.ready, key=lambda it: (self.name(it[0]), it[1]))
             s += " ; ready " + ", ".join(f"{self.name(n)}{'!' if pol else '?'}" for n, pol in items)

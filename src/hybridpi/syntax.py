@@ -88,6 +88,7 @@ OPERATORS = {
     "false": "False",
 }
 ARITY = {op: src.count("{}") for op, src in OPERATORS.items()}
+CONNECTIVES = frozenset({"<", "and", "not", "false"})  # the operators that build conditions
 
 
 @dataclass(frozen=True)

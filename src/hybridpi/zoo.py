@@ -18,9 +18,10 @@ from .certificates import (
     SetDesc,
 )
 from .parser import ModelFile, parse
+from .syntax import HpiError
 
 
-class ModelNotFound(KeyError):
+class ModelNotFound(HpiError):
     pass
 
 

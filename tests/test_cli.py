@@ -178,6 +178,8 @@ def test_models_show_prints_sources(capsys):
     assert main(["models", "show", "ball"]) == 0
     out = capsys.readouterr().out
     assert "ball.hpc" in out and "ready v!" in out
+    assert main(["models", "show", "nope"]) == 3
+    assert capsys.readouterr().err == "error: no model named 'nope'; see list_models()\n"
 
 
 def test_seed_env_variable_sets_default(hpc, monkeypatch, capsys):

@@ -11,6 +11,7 @@ from hybridpi.syntax import (
     Restriction,
     Sum,
     alpha_equivalent,
+    canonical_key,
     free_names,
 )
 from hybridpi.zoo import list_models, model_text
@@ -118,3 +119,64 @@ def test_pretty_roundtrip_bundled_models():
             m = parse(model_text(fn), shared)
             again = parse_term(pretty(m.entry), shared)
             assert alpha_equivalent(again, m.entry), fn
+
+
+# canonical_key and pretty of one source per expression form; the literals
+# were recorded before conditions and arithmetic shared one grammar
+@pytest.mark.parametrize("src, key, printed", [
+    ('new a . a(x, y, z) . [not x < 1] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (not (< b[1.0] c[1.0])) (sum ))))))',
+     'new a . a(x, y, z).[1 <= x]'),
+    ('new a . a(x, y, z) . [x <= 1 or y >= 2] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (not (and (not (not (< c[1.0] b[1.0]))) (not (not (< b[1.1] c[2.0]))))) (sum ))))))',
+     'new a . a(x, y, z).[x <= 1 or 2 <= y]'),
+    ('new a . a(x, y, z) . [x > 1 and y == 2 and z != 3] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (and (and (< c[1.0] b[1.0]) (and (not (< b[1.1] c[2.0])) (not (< c[2.0] b[1.1])))) (not (and (not (< b[1.2] c[3.0])) (not (< c[3.0] b[1.2]))))) (sum ))))))',
+     'new a . a(x, y, z).[(1 < x and y == 2) and (z < 3 or 3 < z)]'),
+    ('new a . a(x, y, z) . [(x < 1 or y < 2) and not (z < 3 and x < y)] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (and (not (and (not (< b[1.0] c[1.0])) (not (< b[1.1] c[2.0])))) (not (and (< b[1.2] c[3.0]) (< b[1.0] b[1.1])))) (sum ))))))',
+     'new a . a(x, y, z).[(x < 1 or y < 2) and not (z < 3 and x < y)]'),
+    ('new a . a(x, y, z) . [not not false or true] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (not (and (not (not (not false))) (not (not false)))) (sum ))))))',
+     'new a . a(x, y, z).[not true or true]'),
+    ('new a . a(x, y, z) . [not (x == y)] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (not (and (not (< b[1.0] b[1.1])) (not (< b[1.1] b[1.0])))) (sum ))))))',
+     'new a . a(x, y, z).[x < y or y < x]'),
+    ('new a . a(x, y, z) . [((x + 1)) * 2 < ((y))] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (< (* (+ b[1.0] c[1.0]) c[2.0]) b[1.1]) (sum ))))))',
+     'new a . a(x, y, z).[(x + 1) * 2 < y]'),
+    ('new a . a(x, y, z) . [x - y / z >= (x - y) / z] . 0',
+     '(new (sum (in b[0.0]/3 (sum (guard (not (< (- b[1.0] (/ b[1.1] b[1.2])) (/ (- b[1.0] b[1.1]) b[1.2]))) (sum ))))))',
+     'new a . a(x, y, z).[(x - y) / z <= x - y / z]'),
+    ('new a . a(x, y, z) . a!<-3, -(2), - x, -(x + y), x - -1> . 0',
+     '(new (sum (in b[0.0]/3 (sum (out b[0.0] [c[-3.0] c[-2.0] (neg b[1.0]) (neg (+ b[1.0] b[1.1])) (- b[1.0] c[-1.0])] (sum ))))))',
+     'new a . a(x, y, z).a!<-3, -2, -x, -(x + y), x - (-1)>'),
+    ('new a . a(x, y, z) . a!<x * -y, -x * y, x - (y - z), (x - y) - z> . 0',
+     '(new (sum (in b[0.0]/3 (sum (out b[0.0] [(* b[1.0] (neg b[1.1])) (* (neg b[1.0]) b[1.1]) (- b[1.0] (- b[1.1] b[1.2])) (- (- b[1.0] b[1.1]) b[1.2])] (sum ))))))',
+     'new a . a(x, y, z).a!<x * -y, -x * y, x - (y - z), x - y - z>'),
+    ('new a . a(x, y, z) . a!<min(x, -1), max(x * 2, y) / sqrt(y + 1)> . 0',
+     '(new (sum (in b[0.0]/3 (sum (out b[0.0] [(min b[1.0] c[-1.0]) (/ (max (* b[1.0] c[2.0]) b[1.1]) (sqrt (+ b[1.1] c[1.0])))] (sum ))))))',
+     'new a . a(x, y, z).a!<min(x, -1), max(x * 2, y) / sqrt(y + 1)>'),
+    ("new x . {1 | x' = -x & not (x < 0.5) and (x > 0.25)} . 0",
+     '(new (sum (ode [b[0.0]] [c[1.0]] [(neg b[0.0])] (and (not (< b[0.0] c[0.5])) (< c[0.25] b[0.0])) {}/0 (sum ))))',
+     "new x . {1 | x' = -x & 0.5 <= x and 0.25 < x}"),
+])
+def test_expression_forms_parse_and_print_as_pinned(src, key, printed):
+    p = parse_term(src)
+    assert canonical_key(p) == key
+    assert pretty(p) == printed
+
+
+@pytest.mark.parametrize("bad, where, msg", [
+    # a missing operand is reported where it is missing
+    ("run [(x < )] . 0;", "1:11", "expected an expression"),
+    ("run [(x < 1 and )] . 0;", "1:17", "expected an expression"),
+    # sort errors are reported at the start of the ill-sorted operand
+    ("run [(1 < 2) + 3 < 4] . 0;", "1:6", "expected an arithmetic expression"),
+    ("run a!<true>;", "1:8", "expected an arithmetic expression"),
+    ("run [x] . 0;", "1:6", "expected a condition"),
+])
+def test_expression_errors_name_the_faulty_token(bad, where, msg):
+    with pytest.raises(ParseError) as e:
+        parse(bad)
+    assert str(e.value) == f"{where}: {msg}"

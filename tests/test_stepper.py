@@ -16,7 +16,7 @@ from hybridpi.equivalence import bind_env
 from hybridpi.kernel import IntegratorConfig, StepOverflow, UndefinedDynamics, continuous_step
 from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate
-from hybridpi.syntax import ARITY, OPERATORS, Const, Op, Var, free_names, fresh
+from hybridpi.syntax import ARITY, CONNECTIVES, OPERATORS, Const, Op, Var, free_names, fresh
 from hybridpi.zoo import load
 
 from conftest import sim_config
@@ -77,16 +77,19 @@ _values = st.one_of(
 )
 # well-sorted terms only: arithmetic terms, and conditions over them built
 # from the connectives (an operator over a bool is not a term of the calculus)
-_CONNECTIVES = {"<", "and", "not", "false"}
 _exprs = st.recursive(
     st.one_of(st.sampled_from(_XS).map(Var), _values.map(Const)),
-    lambda kids: st.sampled_from(sorted(set(OPERATORS) - _CONNECTIVES)).flatmap(
+    lambda kids: st.sampled_from(sorted(set(OPERATORS) - CONNECTIVES)).flatmap(
         lambda op: st.tuples(*[kids] * ARITY[op]).map(lambda args: Op(op, args))
     ),
     max_leaves=10,
 )
+# `false and` an undefined comparison is undefined under the strict `and`
+# and False under a short-circuit one
+_undefined = st.sampled_from([Op("/", (Var(_XS[0]), Const(0.0))), Op("sqrt", (Const(-1.0),))])
+_strict_and = st.tuples(_undefined, _exprs).map(lambda ue: Op("and", (Op("false", ()), Op("<", ue))))
 _conds = st.recursive(
-    st.one_of(st.just(Op("false", ())), st.tuples(_exprs, _exprs).map(lambda ab: Op("<", ab))),
+    st.one_of(st.just(Op("false", ())), st.tuples(_exprs, _exprs).map(lambda ab: Op("<", ab)), _strict_and),
     lambda kids: st.one_of(
         kids.map(lambda c: Op("not", (c,))), st.tuples(kids, kids).map(lambda ab: Op("and", ab))
     ),
