@@ -94,18 +94,18 @@ class ContinuousUnsupported(HpiError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Proc:
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Abstraction:
     binders: tuple
     body: Process
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Concretion:
     restricted: tuple
     payload: tuple

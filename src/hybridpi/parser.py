@@ -34,6 +34,7 @@ must be; other positions read arithmetic from level 4, so `>` ends a payload.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -117,6 +118,8 @@ def tokenize(text: str) -> list:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
+        if m.lastgroup == "num" and not math.isfinite(float(m.group())):
+            raise ParseError(f"number {m.group()} is not finite", line, m.start() - bol + 1)
         if m.lastgroup != "ws":
             toks.append(Token(m.lastgroup, m.group(), line, m.start() - bol + 1))
         nl = m.group().count("\n")
@@ -634,7 +637,7 @@ class _Printer:
         conditions print through the sugar they were most likely spelled in."""
         if isinstance(e, Const):
             v = e.value
-            if v == int(v) and abs(v) < 1e16:
+            if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
                 s = str(int(v))
             else:
                 s = f"{v:.17g}"

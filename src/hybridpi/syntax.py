@@ -1,19 +1,34 @@
 """Abstract syntax for hybrid pi-calculus terms.
 
-Processes are immutable trees built from sums of prefixed continuations,
-restriction, parallel composition and replication.  Names carry globally
-unique integer ids; alpha-renaming mints fresh ids from a session counter so
-the Barendregt convention (free and bound names disjoint) can be maintained
-mechanically.  Conditions (guards and cell boundaries) are expressions
-over the connectives false, <, and, not; the other comparisons and ``or``
-are sugar over them.  The calculus has three binders: ``new``, input
-binders and a cell's continuation binders.  One walker, ``_rewrite`` with
-its one scope rule ``_scope``, rewrites under all three: ``substitute``
-applies a substitution capture-avoidingly, and ``refresh`` renames every
-binder, stamps every tag and applies an optional substitution in a single
-pass (replication unfolding and definition instances).  Derived facts (free
-names, enumerations, structural flags) are memoised in each node's own
-``__dict__``, so a node must never be mutated or copied.
+Processes are trees built from sums of prefixed continuations,
+restriction, parallel composition and replication.  Nothing mutates a
+node once it is built (tests/test_immutable.py checks the source for
+writes); the nodes are plain dataclasses, not frozen ones, because a
+frozen node pays a guarded ``object.__setattr__`` per field each time it
+is built.  Names carry globally unique integer ids; alpha-renaming mints
+fresh ids from a session counter so the Barendregt convention (free and
+bound names disjoint) can be maintained mechanically.  Conditions (guards
+and cell boundaries) are expressions over the connectives false, <, and,
+not; the other comparisons and ``or`` are sugar over them.
+
+The calculus has three binders: ``new``, input binders and a cell's
+continuation binders.  One walker, ``_rewrite`` with its one scope rule
+``_scope``, rewrites under all three: ``substitute`` applies a
+substitution capture-avoidingly, and ``refresh`` renames every binder,
+stamps every tag and applies an optional substitution in a single pass
+(replication unfolding and definition instances).  ``substitute`` defers
+the sums it reaches, in the manner of explicit substitutions: a sum whose
+channels, cell variables and ready names the substitution leaves alone
+comes back as a deferred sum, which keeps the source sum and the
+substitution and builds its branches when they are first read.  So a
+received value costs nothing in the branches a run never takes, while a
+sum that would put a non-name in a name slot is built, and fails, at
+once.  A deferred sum's free names come from its source.  ``refresh``
+stays eager, so its fresh names and stamps are drawn in one fixed order.
+
+Derived facts (free names, enumerations, structural flags, a deferred
+sum's branches) are memoised on each node itself, so a node must never be
+mutated or copied.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ _counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Name:
     id: int
     display: str
@@ -91,27 +106,29 @@ ARITY = {op: src.count("{}") for op, src in OPERATORS.items()}
 CONNECTIVES = frozenset({"<", "and", "not", "false"})  # the operators that build conditions
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var:
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class Op:
     op: str
     args: tuple
 
-    def __post_init__(self):
-        arity = ARITY.get(self.op)
+    def __init__(self, op: str, args: tuple):
+        arity = ARITY.get(op)
         if arity is None:
-            raise ValueError(f"unknown operator {self.op!r}")
-        if arity != len(self.args):
-            raise ValueError(f"operator {self.op!r} expects {arity} args, got {len(self.args)}")
+            raise ValueError(f"unknown operator {op!r}")
+        if arity != len(args):
+            raise ValueError(f"operator {op!r} expects {arity} args, got {len(args)}")
+        self.op = op
+        self.args = args
 
 
 Expr = Union[Const, Var, Op]
@@ -164,29 +181,29 @@ def b_or(a: Expr, b: Expr) -> Op:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Tau:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Input:
     chan: Name
     binders: tuple[Name, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Output:
     chan: Name
     payload: tuple  # of Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Guard:
     cond: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Continuous:
     init: tuple            # Expr per variable
     vars: tuple            # Name per variable, pairwise distinct
@@ -216,25 +233,35 @@ Prefix = Union[Tau, Input, Output, Guard, Continuous]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Sum:
     branches: tuple  # of (Prefix, Process)
     tag: Optional[str] = None
 
+    # written out as dataclass would generate them, except that the other
+    # side may be a deferred sum, a Sum of another class (see _Deferred)
+    def __eq__(self, other):
+        if not isinstance(other, Sum):
+            return NotImplemented
+        return (self.branches, self.tag) == (other.branches, other.tag)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.branches, self.tag))
+
+
+@dataclass(unsafe_hash=True)
 class Restriction:
     name: Name
     body: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Parallel:
     left: "Process"
     right: "Process"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Replication:
     body: "Process"
 
@@ -245,7 +272,8 @@ NIL = Sum(())
 
 
 def is_nil(p: Process) -> bool:
-    return isinstance(p, Sum) and not p.branches
+    # a deferred sum is never empty: substitute returns an empty sum itself
+    return type(p) is Sum and not p.branches
 
 
 def restrict(names: Sequence[Name], body: Process) -> Process:
@@ -270,9 +298,10 @@ def memo(p: Process, key: str, compute: Callable, valid: Optional[Callable] = No
     hit = getattr(p, key, _UNSET)
     if hit is _UNSET or (valid is not None and not valid(hit)):
         hit = compute(p)
-        # set past the frozen-dataclass guard; reading p.__dict__ instead
-        # would materialise a dict and slow every later field access
-        object.__setattr__(p, key, hit)
+        # the one write to a node after its __init__ (tests/test_immutable.py);
+        # reading p.__dict__ instead would materialise a dict and slow every
+        # later field access
+        setattr(p, key, hit)
     return hit
 
 
@@ -287,6 +316,9 @@ def _constructs(p: Process) -> frozenset:
     todo = [p]
     while todo:
         q = todo.pop()
+        if isinstance(q, _Deferred):
+            out |= constructs(q.src)  # a substitution changes no node's class
+            continue
         out.add(type(q))
         if isinstance(q, Sum):
             for pi, cont in q.branches:
@@ -334,6 +366,12 @@ def free_names(p: Process) -> frozenset[Name]:
 
 
 def _free_names(p: Process) -> frozenset[Name]:
+    if isinstance(p, _Deferred):
+        # capture-avoiding: the source's free names, each one the
+        # substitution maps traded for the names of its value
+        src = free_names(p.src)
+        hit = src.intersection(p.sub.mapping)
+        return (src - hit).union(*[expr_names(p.sub.mapping[n]) for n in hit])
     if isinstance(p, Sum):
         out: frozenset[Name] = frozenset()
         for pi, cont in p.branches:
@@ -346,6 +384,35 @@ def _free_names(p: Process) -> frozenset[Name]:
     if isinstance(p, Replication):
         return free_names(p.body)
     raise TypeError(p)
+
+
+def name_slots(p: Process) -> frozenset[Name]:
+    """The free names of p in name positions: channels, cell variables and
+    ready names (which are cell variables).  A substitution that maps none
+    of them puts values only where values go, so applying it cannot fail."""
+    return memo(p, "_name_slots", _name_slots)
+
+
+def _name_slots(p: Process) -> frozenset[Name]:
+    if isinstance(p, _Deferred):
+        return name_slots(p.src)  # its substitution maps none of them
+    if isinstance(p, Sum):
+        out = set()
+        for pi, cont in p.branches:
+            inner = name_slots(cont)
+            if isinstance(pi, (Input, Continuous)):
+                inner = inner.difference(pi.binders)
+            out |= inner
+            if isinstance(pi, (Input, Output)):
+                out.add(pi.chan)
+            elif isinstance(pi, Continuous):
+                out.update(pi.vars)
+        return frozenset(out)
+    if isinstance(p, Restriction):
+        return name_slots(p.body) - {p.name}
+    if isinstance(p, Parallel):
+        return name_slots(p.left) | name_slots(p.right)
+    return name_slots(p.body)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +489,19 @@ def _scope(binders: tuple, body: Process, s: Substitution, renew: bool):
 def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) -> Process:
     """The one binder-aware walker: p with s applied to its free names,
     capture-avoiding.  When renewing, every binder also gets a fresh name
-    and every tag the suffix.  Fresh names are drawn depth first, a
-    prefix's binders before its continuation."""
+    and every tag the suffix.  Without renewal, a sum whose name slots s
+    does not map is deferred: its branches are rewritten when first read.
+    Fresh names are drawn depth first, a prefix's binders before its
+    continuation; a deferred sum draws its branches' renames when it is
+    built."""
     # without renewal an untouched subtree comes back as the same object,
     # keeping its memos warm across transitions
     if not renew and (not s or free_names(p).isdisjoint(s.mapping)):
         return p
     if isinstance(p, Sum):
+        # else built now, so that a non-name in a name slot raises here
+        if not renew and name_slots(p).isdisjoint(s.mapping):
+            return _Deferred(p, s)
         tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
         return Sum(tuple(_rewrite_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
     if isinstance(p, Restriction):
@@ -465,10 +538,37 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suf
     return pi, _rewrite(cont, inner, renew, suffix)
 
 
+class _Deferred(Sum):
+    """``substitute(src, s)`` for a sum src whose name slots s does not map:
+    its branches are rewritten from src's when first read, and kept as a
+    memo.  Nothing mutates s once a rewrite has it: ``substitute`` takes a
+    copy, and ``_scope`` completes each substitution it makes before
+    returning it.  Its free names, name slots and constructs come from src
+    without building it, and it compares, hashes and prints as the Sum it
+    stands for."""
+
+    def __init__(self, src: Sum, s: Substitution):
+        self.tag = src.tag
+        self.src = src
+        self.sub = s
+
+    @property
+    def branches(self) -> tuple:
+        return memo(self, "_branches", _build)
+
+    def __repr__(self):
+        return f"Sum(branches={self.branches!r}, tag={self.tag!r})"
+
+
+def _build(p: _Deferred) -> tuple:
+    return tuple(_rewrite_branch(pi, cont, p.sub, False, None) for pi, cont in p.src.branches)
+
+
 def substitute(p: Process, s: Substitution) -> Process:
     """p with s applied to its free names; a bound name that a name in s's
-    range would be captured by is renamed to a fresh one."""
-    return _rewrite(p, s, False, None)
+    range would be captured by is renamed to a fresh one.  Sums that s
+    touches only in value positions come back deferred (see _Deferred)."""
+    return _rewrite(p, Substitution(s.mapping), False, None)
 
 
 def refresh(p: Process, suffix: Optional[str] = None, s: Optional[Substitution] = None) -> Process:

@@ -410,3 +410,10 @@ def test_bisim_over_dropped_instantiations_is_inconclusive(hpc, tmp_path, capsys
         assert f"inconclusive: {a} dropped 2 instantiations" in err and "holds" not in err
     assert main(["lts", a, "--out", str(tmp_path / "l.json")]) == 0
     assert "skipped=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["parse", "simulate"])
+def test_non_finite_number_is_model_exit(hpc, capsys, command):
+    f = hpc("inf.hpc", "run a!<1e400>;")
+    assert main([command, f]) == 3
+    assert capsys.readouterr().err == "error: 1:8: number 1e400 is not finite\n"

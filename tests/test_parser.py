@@ -1,3 +1,4 @@
+import math
 import random
 import string
 
@@ -5,7 +6,11 @@ import pytest
 
 from hybridpi.parser import ParseError, parse, parse_term, pretty
 from hybridpi.syntax import (
+    NIL,
+    Const,
     Continuous,
+    Op,
+    Output,
     Parallel,
     Replication,
     Restriction,
@@ -180,3 +185,24 @@ def test_expression_errors_name_the_faulty_token(bad, where, msg):
     with pytest.raises(ParseError) as e:
         parse(bad)
     assert str(e.value) == f"{where}: {msg}"
+
+
+@pytest.mark.parametrize("bad, msg", [
+    ("run a!<1e400>;", "1:8: number 1e400 is not finite"),
+    ("run a!<-1e400>;", "1:9: number 1e400 is not finite"),
+    ("const k = 1e309;\nrun a!<k>;", "1:11: number 1e309 is not finite"),
+    ("run {0 | x' = 1 & x < 1.5e999};", "1:23: number 1.5e999 is not finite"),
+])
+def test_non_finite_number_is_refused_where_it_is_written(bad, msg):
+    with pytest.raises(ParseError) as e:
+        parse(bad)
+    assert str(e.value) == msg
+
+
+def test_non_finite_constants_print_without_crashing():
+    # the parser never builds them; a term built directly still prints
+    (out, _), = parse_term("c!<1>").branches
+    for value, text in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+        p = Sum(((Output(out.chan, (Const(value), Op("-", (Const(1.0), Const(value))))), NIL),))
+        shown = f"({text})" if value < 0 else text
+        assert pretty(p) == f"c!<{text}, 1 - {shown}>"

@@ -1,23 +1,40 @@
 """The binder-aware rewrite behind substitute, refresh and definition
 instances, on what discrete generated terms do not reach: cell binders,
-cell variables and ready names, and substitutions that must fail."""
+cell variables and ready names, and substitutions that must fail.
+
+Substitution defers the sums it reaches; it is checked against the eager
+rewrite it replaces, which rebuilds every branch at once."""
 
 import pytest
 
+from hybridpi import kernel, syntax
+from hybridpi.equivalence import bind_env
+from hybridpi.kernel import IntegratorConfig
 from hybridpi.parser import ParseError, parse, parse_term
+from hybridpi.simulator import SimConfig, simulate
 from hybridpi.syntax import (
     Const,
+    Continuous,
+    Guard,
+    Input,
     Op,
+    Output,
     Parallel,
+    Replication,
+    Restriction,
     Substitution,
     SubstitutionError,
     Sum,
     Var,
+    alpha_equivalent,
     canonical_key,
     free_names,
+    fresh,
     refresh,
+    subst_expr,
     substitute,
 )
+from hybridpi.zoo import list_models, load
 from termgen import random_terms
 
 CELL = "{0, 1 | x' = u, y' = x & x < 5 ; ready x!, y?}(a, b) . c!<a + b>"
@@ -97,3 +114,178 @@ def test_one_pass_instance_equals_refresh_then_substitute():
         one, two = refresh(p, "@7", s), substitute(refresh(p, "@7"), s)
         assert canonical_key(one) == canonical_key(two)
         assert tags(one) == tags(two)
+
+
+# -- deferred sums against the eager rewrite ---------------------------------
+
+
+def eager_substitute(p, s):
+    """substitute as it was before sums were deferred."""
+    if not s or free_names(p).isdisjoint(s.mapping):
+        return p
+    if isinstance(p, Sum):
+        return Sum(tuple(eager_branch(pi, cont, s) for pi, cont in p.branches), tag=p.tag)
+    if isinstance(p, Restriction):
+        (name,), inner = syntax._scope((p.name,), p.body, s, False)
+        return Restriction(name, eager_substitute(p.body, inner))
+    if isinstance(p, Parallel):
+        return Parallel(eager_substitute(p.left, s), eager_substitute(p.right, s))
+    return Replication(eager_substitute(p.body, s))
+
+
+def eager_branch(pi, cont, s):
+    inner = s
+    if isinstance(pi, Input):
+        chan = s.name_for(pi.chan, "channel")
+        binders, inner = syntax._scope(pi.binders, cont, s, False)
+        pi = Input(chan, binders)
+    elif isinstance(pi, Output):
+        pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
+    elif isinstance(pi, Guard):
+        pi = Guard(subst_expr(pi.cond, s))
+    elif isinstance(pi, Continuous):
+        vars_ = tuple(s.name_for(v, "continuous variable") for v in pi.vars)
+        init = tuple(subst_expr(e, s) for e in pi.init)
+        fields = tuple(subst_expr(e, s) for e in pi.fields)
+        boundary = subst_expr(pi.boundary, s)
+        rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
+        binders, inner = syntax._scope(pi.binders, cont, s, False)
+        pi = Continuous(init, vars_, fields, boundary, rdy, binders)
+    return pi, eager_substitute(cont, inner)
+
+
+def bodies(p):
+    """(binders, body) of every input and cell continuation in p, and p
+    itself with no binders, depth first."""
+    out = [((), p)]
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Sum):
+            for pi, cont in q.branches:
+                if isinstance(pi, (Input, Continuous)) and pi.binders:
+                    out.append((pi.binders, cont))
+                todo.append(cont)
+        elif isinstance(q, Parallel):
+            todo += (q.right, q.left)
+        else:
+            todo.append(q.body)
+    return out
+
+
+def bound_names(p):
+    """Every name that an input, a cell or a restriction in p binds."""
+    out = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Sum):
+            for pi, cont in q.branches:
+                out.update(getattr(pi, "binders", ()))
+                todo.append(cont)
+        elif isinstance(q, Parallel):
+            todo += (q.left, q.right)
+        else:
+            if isinstance(q, Restriction):
+                out.add(q.name)
+            todo.append(q.body)
+    return out
+
+
+def substitutions(binders, body):
+    """Value and name substitutions for the binders of body, and for its
+    free names: renamings, captures and non-names in name slots."""
+    free = sorted(free_names(body), key=lambda n: n.id)
+    out = []
+    if binders:
+        out.append({b: Const(float(i) + 0.5) for i, b in enumerate(binders)})
+        out.append({b: Var(free[i % len(free)]) for i, b in enumerate(binders)} if free else {})
+    for i, n in enumerate(free):
+        other = free[(i + 1) % len(free)]
+        out += [{n: Const(2.0)}, {n: Var(other)}, {n: Var(fresh(n.display))}, {n: Var(other), other: Var(n)}]
+    return [Substitution(m) for m in out if m]
+
+
+def outcome(rewrite):
+    # a renaming may also make two cell variables one (a ValueError)
+    try:
+        return rewrite(), None
+    except (SubstitutionError, ValueError) as e:
+        return None, (type(e), str(e))
+
+
+def assert_defers_like_the_eager_rewrite(p):
+    checked = 0
+    for binders, body in bodies(p):
+        for s in substitutions(binders, body):
+            lazy, lazy_error = outcome(lambda: substitute(body, s))
+            eager, eager_error = outcome(lambda: eager_substitute(body, s))
+            assert lazy_error == eager_error
+            if eager_error:
+                continue
+            # free names of the result before any of its sums is built
+            assert free_names(lazy) == free_names(eager)
+            if isinstance(lazy, Sum):
+                assert free_names(Sum(lazy.branches, lazy.tag)) == free_names(eager)
+            assert alpha_equivalent(lazy, eager)
+            if s.free_in_range().isdisjoint(bound_names(body)):
+                assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("repl", [False, True])
+def test_deferred_substitution_matches_the_eager_rewrite_on_generated_terms(repl):
+    checked = 0
+    for text in random_terms(19, 120, budget=6, repl=repl):
+        checked += assert_defers_like_the_eager_rewrite(parse_term(text))
+    assert checked > 500
+
+
+def test_deferred_substitution_matches_the_eager_rewrite_on_bundled_models():
+    roots = [m.entry for e in list_models() for m in load(e.id).models.values()]
+    assert sum(assert_defers_like_the_eager_rewrite(r) for r in roots) > 500
+
+
+def test_deferred_sum_compares_and_hashes_as_its_built_sum():
+    p = parse_term("a(x) . ([x < 1] . b!<x> + [x >= 1] . c!<x + 1>)")
+    (pi, body), = p.branches
+    q = substitute(body, Substitution({pi.binders[0]: Const(2.0)}))
+    assert type(q) is not Sum and not hasattr(q, "_branches")
+    assert "b" in {n.display for n in free_names(q)} and not hasattr(q, "_branches")
+    built = Sum(q.branches, q.tag)
+    assert q == built and built == q and hash(q) == hash(built) and repr(q) == repr(built)
+    assert {q: 1}[built] == 1 and q != Sum(q.branches, "other")
+
+
+def test_spec_system_leaves_the_handover_branch_unbuilt(monkeypatch):
+    # one 1-s control period of the disturbed train: p(p0) substitutes p0
+    # into both guarded branches, and p0 < ph is the one taken
+    applied = []
+
+    def recording(f, c):
+        out = real(f, c)
+        applied.append(out)
+        return out
+
+    real = kernel.apply
+    monkeypatch.setattr(kernel, "apply", recording)
+    inst = load("spec-system")
+    cfg = SimConfig(horizon=1.5, integrator=IntegratorConfig(step=1e-2))
+    res = simulate(inst.main.entry, cfg, bind_env(inst.main.entry, {"u": 0.0}))
+    assert res.status == "horizon"
+    handovers = []
+    todo = list(applied)
+    while todo:  # the sums at the top of each applied sync's result
+        q = todo.pop()
+        if isinstance(q, Restriction):
+            todo.append(q.body)
+        elif isinstance(q, Parallel):
+            todo += (q.left, q.right)
+        elif isinstance(q, Sum) and [type(pi) for pi, _ in q.branches] == [Guard, Guard]:
+            cont = q.branches[1][1]
+            first = cont.src.branches[0][0] if isinstance(cont, syntax._Deferred) else None
+            if isinstance(first, Output) and first.chan.display == "handover":
+                handovers.append(cont)
+    assert len(handovers) == 2  # the syncs at t = 0 and t = 1
+    assert not any(hasattr(cont, "_branches") for cont in handovers)
