@@ -3,6 +3,11 @@
 A certificate is a polynomial per location; the four conditions are checked
 on deterministic low-discrepancy samples of the relevant sets (plus box
 vertices), so a reported violation is sound while a pass is empirical.
+
+A key that names nothing is refused: an automaton's field, reset or box key
+(top-level or a set's) that is no state coordinate, on construction, and a
+certificate's gamma label that is neither `*` nor an edge's, by
+`check_certificate`.
 """
 
 from __future__ import annotations
@@ -195,6 +200,18 @@ class HybridAutomaton:
         for c in self.coords:
             if c not in self.box:
                 raise ValueError(f"coordinate {c!r} has no box bounds")
+        # a key naming no state coordinate would otherwise be ignored
+        keyed = [("box", self.box)]
+        for name, l in self.locations.items():
+            sets = {"invariant": l.invariant, "init": l.init, "unsafe": l.unsafe}
+            keyed += [(f"location {name!r} field", l.field)]
+            keyed += [(f"location {name!r} {k} box", s.box) for k, s in sets.items() if s]
+        for e in self.edges:
+            keyed += [(f"edge {e.label!r} reset", e.reset), (f"edge {e.label!r} guard box", e.guard.box)]
+        for where, table in keyed:
+            for k in table or ():
+                if k not in self.coords:
+                    raise ValueError(f"{where} names {k!r}, which is not a state coordinate")
 
     @property
     def all_coords(self) -> tuple:
@@ -232,21 +249,15 @@ def _sample_box(bounds: list, n: int, seed: int) -> np.ndarray:
 
 
 def _set_points(h: HybridAutomaton, s: Optional[SetDesc], n: int, seed: int, with_params: bool):
-    bounds = []
     override = (s.box or {}) if s else {}
-    for c in h.coords:
-        bounds.append(override.get(c, h.box[c]))
+    bounds = [override.get(c, h.box[c]) for c in h.coords]
     if with_params:
         bounds.extend(h.params[p] for p in h.params)
     pts = _sample_box(bounds, n, seed)
     if s is not None and s.clauses != ((),):
-        if not with_params:
-            # set polynomials live over all_coords; pad the param columns
-            pad = np.zeros((pts.shape[0], len(h.params)))
-            keep = s.contains(np.hstack([pts, pad]))
-        else:
-            keep = s.contains(pts)
-        pts = pts[keep]
+        # set polynomials live over all_coords; pad any unsampled param columns
+        pad = np.zeros((pts.shape[0], 0 if with_params else len(h.params)))
+        pts = pts[s.contains(np.hstack([pts, pad]))]
     return pts
 
 
@@ -296,6 +307,9 @@ def check_certificate(
         for part, table in (("phi", cert.phi), ("lambda", cert.lam)):
             if name not in table:
                 raise HpiError(f"certificate has no {part} for location {name!r}")
+    labels = {e.label or f"e{i}" for i, e in enumerate(h.edges)}
+    for label in sorted(cert.gamma.keys() - labels - {"*"}):
+        raise HpiError(f"certificate gamma names {label!r}, which is no edge label")
     reports: list = []
     all_coords = h.all_coords
 

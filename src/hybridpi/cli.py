@@ -305,8 +305,8 @@ def cmd_models(args) -> int:
             print(zoo.model_text(fn))
         return EXIT_OK
     # run
-    if inst.entry.id == "composed-automaton-H":
-        raise HpiError("composed-automaton-H is an automaton; use `hybridpi certcheck` on its files")
+    if inst.automaton is not None:
+        raise HpiError(f"{args.id} is an automaton; use `hybridpi certcheck` on its files")
     return _run(args, inst.main.entry, inst.entry)
 
 

@@ -245,11 +245,12 @@ def apply(f: Abstraction, c: Concretion) -> Process:
             f"arity mismatch: abstraction of {len(f.binders)} applied to {len(c.payload)} values"
         )
     c = _rename_concretion(c, free_names(f.body) - set(f.binders))
-    # closed payload expressions pass by value; keeps transmitted terms small
+    # closed payload expressions with a finite value pass by value, keeping
+    # transmitted terms small (inf and nan have no literal that parses back)
     norm = []
     for e in c.payload:
         v = fl.eval_expr(e)
-        if fl.is_real(v):
+        if fl.is_real(v) and math.isfinite(v):
             norm.append(Const(float(v)))
         else:
             norm.append(e)

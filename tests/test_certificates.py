@@ -19,6 +19,7 @@ from hybridpi.certificates import (
     invariant_region,
     lie_derivative,
 )
+from hybridpi.syntax import HpiError
 
 XY = ("x", "y")
 
@@ -160,6 +161,19 @@ def test_automaton_validation():
                         [Edge("run", "gone", SetDesc(), {}, "bad")])
     with pytest.raises(ValueError):
         HybridAutomaton(("x", "q"), {}, {"x": (-2.0, 2.0)}, {"run": h.locations["run"]}, [])
+
+
+def test_keys_naming_no_coordinate_or_edge_are_refused():
+    h, cert = one_d_automaton()
+    loc, (edge,) = h.locations["run"], h.edges
+    bad_edge = Edge("run", "run", edge.guard, {"y": edge.reset["x"]}, "shrink")
+    with pytest.raises(ValueError, match="edge 'shrink' reset names 'y'"):
+        HybridAutomaton(X1, {}, h.box, {"run": loc}, [bad_edge])
+    with pytest.raises(ValueError, match="^box names 'u'"):
+        HybridAutomaton(X1, {"u": (0.0, 1.0)}, {**h.box, "u": (0.0, 1.0)}, {"run": loc}, [])
+    typo = BarrierCertificate(cert.phi, cert.lam, {"*": 1.0, "shrnk": 0.5})
+    with pytest.raises(HpiError, match="gamma names 'shrnk'"):
+        check_certificate(h, typo, samples=16)
 
 
 def test_json_round_trips():

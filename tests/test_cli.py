@@ -311,6 +311,29 @@ def test_certcheck_location_without_field_names_the_location(hpc, capsys):
     assert f"{aut}: automaton: location 'run': missing 'field'" in err
 
 
+@pytest.mark.parametrize("path, key, named", [
+    (("edges", 2, "reset"), "zz", "edge 'spec-tick' reset names 'zz'"),
+    (("box",), "zz", "box names 'zz'"),
+    (("locations", "run", "init", "box"), "zz", "location 'run' init box names 'zz'"),
+    (("locations", "run", "field"), "q", "location 'run' field names 'q'"),
+])
+def test_certcheck_automaton_key_naming_no_coordinate_is_model_exit(hpc, capsys, path, key, named):
+    doc = json.loads(model_text("automaton-h.json"))
+    table = doc
+    for step in path:
+        table = table[step]
+    table[key] = table[next(iter(table))]  # a valid entry under a key naming nothing
+    aut, _, err = _certcheck_error(hpc, capsys, json.dumps(doc), None)
+    assert f"{aut}: automaton: malformed ({named}, which is not a state coordinate)" in err
+
+
+def test_certcheck_gamma_for_no_edge_is_model_exit(hpc, capsys):
+    doc = json.loads(model_text("certificate.json"))
+    doc["gamma"]["sys-braek"] = 0.5
+    _, _, err = _certcheck_error(hpc, capsys, None, json.dumps(doc))
+    assert "certificate gamma names 'sys-braek', which is no edge label" in err
+
+
 def test_simulate_env_with_a_bad_value_names_the_flag(hpc, capsys):
     f = hpc("w.hpc", model_text("wait.hpc"))
     assert main(["simulate", f, "--horizon", "1", "--env", "u=abc"]) == 3

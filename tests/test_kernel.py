@@ -57,6 +57,15 @@ def test_sync_and_value_passing():
     assert out.kind == "out" and out.chan.display == "b"
 
 
+def test_a_non_finite_payload_is_passed_as_its_expression():
+    # inf has no literal; passed by value it would print as the name `inf`
+    p = parse_term("c!<1e300 * 1e300> || c(x) . d!<x>")
+    (sync,) = [tr for tr in discrete_transitions(p).transitions if tr.kind == "sync"]
+    shown = pretty(prune(sync.agent.body))
+    assert "inf" not in shown
+    assert pretty(parse_term(shown)) == shown
+
+
 def test_restriction_hides_and_enables_internal_sync():
     closed = parse_term("new a . (a(v) || a!<1>)")
     assert kinds(closed) == ["sync"]

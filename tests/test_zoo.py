@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from hybridpi.certificates import automaton_to_json, certificate_to_json
+from hybridpi.flows import eval_expr
+from hybridpi.kernel import discrete_transitions
+from hybridpi.parser import parse_term
 from hybridpi.simulator import simulate, trace_to_jsonl, trajectory_to_csv
+from hybridpi.syntax import prune
 from hybridpi.zoo import (
     A_MAX,
     A_MIN,
-    PHI_CONST,
     V_MAX,
     ModelNotFound,
     automaton_h,
@@ -74,6 +77,49 @@ def test_control_law_range():
         assert control_law_f(p0, v0, 10000.0, 1.0) in (A_MIN, 0.0, A_MAX)
 
 
+def _model_law(prelude, p0, v0, pe):
+    """The acceleration a model's `drive` sends after reading v0."""
+    p = parse_term(f"drive(v, a, {p0!r}, {pe!r}, k) || v!<{v0!r}>", prelude=prelude)
+    while True:
+        trs = discrete_transitions(p).transitions
+        sent = [tr.payload for tr in trs if tr.kind == "out" and tr.chan.display == "a"]
+        if sent:
+            ((value,),) = sent
+            return eval_expr(value)
+        (step,) = [tr for tr in trs if tr.kind in ("sync", "pass")]
+        p = prune(step.agent.body)
+
+
+def _law_points(rng, pe, n):
+    """n points near the full-power/coast curve, n near the coast/brake
+    curve and n at random, kept where pe - (p0 + v0 + 0.5) > 0."""
+    for _ in range(n):
+        gap = rng.uniform(0.0, 900.0)  # to pe after a full-power period
+        v_up = math.sqrt(2.0 * gap) - 1.0
+        gap_q = rng.uniform(0.0, 900.0)  # to pe after a coasting period
+        v_q = math.sqrt(2.0 * gap_q)
+        for p0, v0 in ((pe - gap - v_up - 0.5, v_up), (pe - gap_q - v_q, v_q),
+                       (rng.uniform(0.0, pe), rng.uniform(0.0, 41.0))):
+            if v0 >= 0.0 and pe - (p0 + v0 + 0.5) > 0:
+                yield p0, v0
+
+
+@pytest.mark.parametrize("filename", ["system.hpc", "system-failed.hpc", "network.hpc"])
+def test_control_law_matches_each_models_drive(filename):
+    """control_law_f is the oracle of the law the models write in `drive`.
+    Only where pe - (p0 + v0 + 0.5) > 0: beyond it the model's
+    `max(0, ...)` and the Python law's `pe > p_next` may disagree."""
+    text = model_text(filename)
+    prelude = text[: text.index("\nrun ")]
+    rng = np.random.default_rng(7)
+    seen = set()
+    for p0, v0 in _law_points(rng, 5000.0, 100):
+        want = control_law_f(p0, v0, 5000.0, 1.0)
+        assert _model_law(prelude, p0, v0, 5000.0) == want, (p0, v0)
+        seen.add(want)
+    assert seen == {A_MIN, 0.0, A_MAX}
+
+
 def advance(p, v, a, d=1.0):
     """Exact kinematics over one period, stopping if the speed hits zero."""
     if a < 0 and v + a * d < 0:
@@ -114,7 +160,7 @@ def test_bundled_automaton_files_match_builders():
 def test_certificate_value_at_origin():
     phi = certificate_h().phi["run"]
     zeros = np.zeros(len(automaton_h().all_coords))
-    assert phi(zeros) == pytest.approx(PHI_CONST, abs=1e-12)
+    assert phi(zeros) == pytest.approx(-0.40900, abs=1e-12)
 
 
 def test_vehicle_model_exchanges_control():
