@@ -6,8 +6,8 @@ vertices), so a reported violation is sound while a pass is empirical.
 
 A key that names nothing is refused: an automaton's field, reset or box key
 (top-level or a set's) that is no state coordinate, on construction, and a
-certificate's gamma label that is neither `*` nor an edge's, by
-`check_certificate`.
+certificate's phi or lambda key that is no location and gamma label that is
+neither `*` nor an edge's, by `check_certificate`.
 """
 
 from __future__ import annotations
@@ -307,6 +307,9 @@ def check_certificate(
         for part, table in (("phi", cert.phi), ("lambda", cert.lam)):
             if name not in table:
                 raise HpiError(f"certificate has no {part} for location {name!r}")
+    for part, table in (("phi", cert.phi), ("lambda", cert.lam)):
+        for name in sorted(table.keys() - h.locations.keys()):
+            raise HpiError(f"certificate {part} names {name!r}, which is no location")
     labels = {e.label or f"e{i}" for i, e in enumerate(h.edges)}
     for label in sorted(cert.gamma.keys() - labels - {"*"}):
         raise HpiError(f"certificate gamma names {label!r}, which is no edge label")

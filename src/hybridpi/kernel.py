@@ -3,15 +3,19 @@
 Discrete transitions take a process to an agent, and the agent's type is
 the move's label (Milner's commitments): a process after a silent move, an
 abstraction awaiting values after an input on the transition's channel, a
-concretion carrying values after an output on it.  An enumeration names
-each move's kind, channel, payload, tags and shape (the agent's class) at
-once, and builds the agent only when it is read: the simulator reads the
-one move it commits.  A replication's copy is the memoised moves of its
-body under a fresh unfold stamp; the copy is refreshed and stamped only
-when one of its moves is committed or inspected.  Continuous evolution
+concretion carrying values after an output on it.  A node's enumeration
+lists its children's moves, the same objects, then its own syncs; a
+restriction drops the moves on its names.  A move names its kind,
+channel, payload, tags and shape (the agent's class) where it is made, and
+its agent at the root is built only when read (the simulator reads the
+one move it commits): a loop walks the move's path down from the root by
+index, then lifts its agent back up through the parallels and restrictions
+passed.  A replication's copy is the memoised moves of its body under a
+fresh unfold stamp; the copy is refreshed and stamped only when one of
+its moves is committed or inspected.  Continuous evolution
 integrates every active ODE cell jointly, as one system, with fixed-step
 RK4 and localizes boundary crossings by bisection; a step reports its
-duration, the ready set, the successor process, the cells that stopped and
+duration, the ready set, the pruned successor, the cells that stopped and
 the joint flow of every cell variable.  The system's RK4 stepper is
 compiled once per shape: the generated source of its fields and
 boundaries, over positional state, environment and constant parameters,
@@ -122,38 +126,33 @@ class Concretion:
 Agent = Union[Proc, Abstraction, Concretion]
 
 
-# The step that builds a pending move's agent from the agent of its source
-# move: lift through a parallel (x: partner, y: True when the move is on the
-# left), wrap in a restriction chain (x: the names, outermost first), merge
-# a sync (source: the input side, x: the output side, y: the replication
-# kept beside the result, or None), or stamp an unfolded copy (x: suffix).
-_PAR, _NEW, _SYNC, _STAMP = range(4)
-
-
 class Transition:
     """One discrete move.  The agent is its label: a Proc is silent, an
     Abstraction is an input on `chan` and a Concretion an output on `chan`;
-    `shape` is that class, known at enumeration.  The agent itself is built
-    on first read, from its pending step, and then kept."""
+    `shape` is that class, known at enumeration.
 
-    __slots__ = ("kind", "chan", "payload", "tags", "shape", "_agent", "_step", "_src", "_x", "_y")
+    Every node above the one that made a move lists the same object, so its
+    own agent is its agent at that node: a sum's is built with it, a sync's,
+    a copy's or a replication's on first read.  An enumeration's root moves
+    are views of (root frame, index), lifted to the root when read."""
 
-    def __init__(self, kind, chan, payload, tags, shape, agent=None, step=None, src=None, x=None, y=None):
+    __slots__ = ("kind", "chan", "payload", "tags", "shape", "_agent", "_make", "_args")
+
+    def __init__(self, kind, chan, payload, tags, shape, agent=None, make=None, args=None):
         self.kind = kind  # tau | pass | in | out | sense | actuate | sync
         self.chan = chan
         self.payload = payload
         self.tags = tags
         self.shape = shape
         self._agent = agent
-        self._step = step
-        self._src = src
-        self._x = x
-        self._y = y
+        self._make = make  # agent = make(*args), on first read
+        self._args = args
 
     @property
     def agent(self) -> Agent:
         if self._agent is None:
-            _force(self)
+            self._agent = self._make(*self._args)
+            self._make = self._args = None
         return self._agent
 
 
@@ -162,31 +161,50 @@ def _move(agent: Agent, kind: str, chan: Optional[Name] = None, payload: Optiona
     return Transition(kind, chan, payload, tags, type(agent), agent)
 
 
-def _force(t: Transition) -> None:
-    """Build t's agent: walk down its pending sources to one whose agent is
-    built (a sync forces its two sides in turn), then build each agent on
-    the way back up.  A built move drops its source."""
-    chain = []
-    while t._agent is None:
-        chain.append(t)
-        if t._step == _SYNC:
-            break
-        t = t._src
-    for t in reversed(chain):
-        step = t._step
-        if step == _PAR:
-            agent = par_agent(t._src._agent, t._x, t._y)
-        elif step == _NEW:
-            agent = t._src._agent
-            for n in reversed(t._x):
-                agent = restrict_agent(n, agent)
-        elif step == _STAMP:
-            agent = _stamp_agent(t._src._agent, t._x)
+def _pending(t: Transition, make, args: tuple, tags: Optional[tuple] = None) -> Transition:
+    """A move with t's label (and `tags`, when given), its agent make(*args)."""
+    return Transition(t.kind, t.chan, t.payload, t.tags if tags is None else tags, t.shape, None, make, args)
+
+
+@dataclass(slots=True, eq=False)
+class _Frame:
+    """What one enumeration of a node saw: its moves in order and the frames
+    of the children they came from.  A frame without kids made its moves (a
+    sum's, a copy's, a replication's).  A parallel's lists its left's, its
+    right's, then its syncs, and `x` holds its two sides (not the node: a
+    memo that points back at its node is a cycle, freed only by the cyclic
+    collector).  A restriction chain's lists its body's moves on none of
+    its names, and `x` holds the names and the body indices kept (None
+    when all)."""
+
+    moves: list
+    kids: tuple = ()
+    x: object = None
+
+
+def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent:
+    """The agent of f's move i at f's node, beside `persist` when given.  One
+    loop walks down by index to the frame that made the move, reads that
+    move's own agent, and lifts it back up through the nodes passed."""
+    lifts = []
+    while f.kids:
+        n = len(f.kids[0].moves)
+        if len(f.kids) == 1:  # a restriction chain
+            names, kept = f.x
+            lifts += [(None, name) for name in names]
+            f, i = f.kids[0], i if kept is None else kept[i]
+        elif i < n:
+            lifts.append((True, f.x[1]))
+            f = f.kids[0]
+        elif i - n < len(f.kids[1].moves):
+            lifts.append((False, f.x[0]))
+            f, i = f.kids[1], i - n
         else:
-            merged = apply(t._src.agent, t._x.agent)
-            agent = Proc(merged if t._y is None else Parallel(merged, t._y))
-        t._agent = agent
-        t._src = t._x = t._y = None
+            break  # a sync made here
+    agent = f.moves[i].agent
+    for left, x in reversed(lifts):
+        agent = restrict_agent(x, agent) if left is None else par_agent(agent, x, left)
+    return agent if persist is None else par_agent(agent, persist, True)
 
 
 @dataclass
@@ -316,15 +334,17 @@ def _unguarded_replication(p: Process) -> bool:
 
 
 # Process nodes are immutable and successor terms share untouched subtrees,
-# so each node memoises its enumeration (see syntax.memo) together with the
-# depth, diagnostics and truncation it was computed with.  The memoised
-# moves carry pending agents, built when first read (see Transition).
+# so each node memoises its enumeration's frame (see syntax.memo) together
+# with the depth, diagnostics and truncation it was computed with.  A frame
+# lists its children's move objects and adds only its own syncs, and it
+# keeps the children's frames, so a move's agent is lifted from what the
+# enumeration that made it saw, even once a child's memo is replaced.
 # Replication copies (and their unfold tags) freeze on first enumeration;
 # reruns start from a refreshed root, so the numbering stays reproducible.
 # A copy is its body's memoised moves under the copy's stamp, refreshed
 # only when one of them is committed or inspected (see _copy); a second
 # copy is stamped only where two copies can synchronise (see _trans_inner).
-def _trans(p: Process, depth: int, res: Enumeration) -> list:
+def _trans(p: Process, depth: int, res: Enumeration) -> _Frame:
     if _spawns_replications(p):
         # never memoised: each instance spawned by such a factory must carry
         # a fresh unfold stamp so its own events stay distinguishable
@@ -334,48 +354,47 @@ def _trans(p: Process, depth: int, res: Enumeration) -> list:
         ndiag = len(res.diagnostics)
         was_truncated = res.truncated
         res.truncated = False
-        out = _trans_inner(p, depth, res)
-        entry = (depth, out, tuple(res.diagnostics[ndiag:]), res.truncated)
+        f = _trans_inner(p, depth, res)
+        entry = (depth, f, tuple(res.diagnostics[ndiag:]), res.truncated)
         res.truncated = was_truncated
         return entry
 
-    _, out, diags, truncated = memo(p, "_trans", compute, lambda hit: hit[0] == depth)
+    _, f, diags, truncated = memo(p, "_trans", compute, lambda hit: hit[0] == depth)
     for d in diags:
         if d not in res.diagnostics:
             res.diagnostics.append(d)
     res.truncated = res.truncated or truncated
-    return out
+    return f
 
 
-def _lift(t: Transition, step: int, x, y=None) -> Transition:
-    return Transition(t.kind, t.chan, t.payload, t.tags, t.shape, None, step, t, x, y)
-
-
-def _syncs(lefts: list, rights: list, persist: Optional[Process] = None) -> list:
-    """Communications between a transition of `lefts` and one of `rights`,
-    left-major; `persist` (a replication) is kept in parallel with each
-    merged target."""
+def _syncs(left: _Frame, right: _Frame, persist: Optional[Process] = None) -> list:
+    """Communications between a move of `left` and one of `right`,
+    left-major; each records its input and output side as (frame, index).
+    `persist` (a replication) is kept in parallel with each merged target."""
     out = []
-    for tl in lefts:
-        for tr in rights:
+    for i, tl in enumerate(left.moves):
+        for j, tr in enumerate(right.moves):
             if tl.shape is Abstraction and tr.shape is Concretion and tl.chan == tr.chan:
-                fi, co = tl, tr
+                sides, co = (left, i, right, j), tr
             elif tl.shape is Concretion and tr.shape is Abstraction and tl.chan == tr.chan:
-                fi, co = tr, tl
+                sides, co = (right, j, left, i), tl
             else:
                 continue
-            kind = "sync"
-            if "sense" in (tl.kind, tr.kind):
-                kind = "sense"
-            elif "actuate" in (tl.kind, tr.kind):
-                kind = "actuate"
-            out.append(Transition(kind, co.chan, co.payload, tl.tags + tr.tags, Proc, None, _SYNC, fi, co, persist))
+            kinds = (tl.kind, tr.kind)
+            kind = "sense" if "sense" in kinds else "actuate" if "actuate" in kinds else "sync"
+            out.append(Transition(kind, co.chan, co.payload, tl.tags + tr.tags, Proc, None, _sync_agent, sides + (persist,)))
     return out
 
 
-def _stamp_agent(a: Agent, suffix: str) -> Agent:
-    """The agent of the same move in a copy refreshed with ``suffix``: a
-    refresh of a itself, its own binders or extruded names renewed too."""
+def _sync_agent(ff: _Frame, fi: int, cf: _Frame, ci: int, persist: Optional[Process]) -> Proc:
+    merged = apply(_agent_at(ff, fi), _agent_at(cf, ci))
+    return Proc(merged if persist is None else Parallel(merged, persist))
+
+
+def _stamp_agent(f: _Frame, i: int, suffix: str) -> Agent:
+    """The agent of f's move i in a copy refreshed with ``suffix``: a
+    refresh of that agent, its own binders or extruded names renewed too."""
+    a = _agent_at(f, i)
     if isinstance(a, Proc):
         return Proc(refresh(a.body, suffix))
     names = a.binders if isinstance(a, Abstraction) else a.restricted
@@ -386,11 +405,11 @@ def _stamp_agent(a: Agent, suffix: str) -> Agent:
     return Concretion(new, a.payload if sub is None else tuple(subst_expr(e, sub) for e in a.payload), body)
 
 
-def _copy(p: Replication, depth: int, res: Enumeration) -> list:
-    """The transitions of a fresh copy of p's body, its tags stamped with a
-    new unfold index.  A body that unfolds replications of its own while it
-    is enumerated draws their stamps from a refreshed copy; any other body
-    lends its memoised transitions, stamped when forced."""
+def _copy(p: Replication, depth: int, res: Enumeration) -> _Frame:
+    """The moves of a fresh copy of p's body, its tags stamped with a new
+    unfold index.  A body that unfolds replications of its own while it is
+    enumerated draws their stamps from a refreshed copy; any other body
+    lends its memoised moves, stamped when forced."""
     res.counter[0] += 1
     suffix = f"#{res.counter[0]}"
     if _unguarded_replication(p.body):
@@ -399,34 +418,34 @@ def _copy(p: Replication, depth: int, res: Enumeration) -> list:
     base = _trans(p.body, depth, res)
     diags, res.diagnostics = res.diagnostics, outer
     res.diagnostics += [(kind, f"{tag}{suffix}" if tag else tag) for kind, tag in diags]
-    return [
-        Transition(t.kind, t.chan, t.payload, tuple(g + suffix for g in t.tags), t.shape, None, _STAMP, t, suffix)
-        for t in base
-    ]
+    tags = [tuple(g + suffix for g in t.tags) for t in base.moves]
+    return _Frame([_pending(t, _stamp_agent, (base, i, suffix), tags[i]) for i, t in enumerate(base.moves)])
 
 
-def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
+def _trans_inner(p: Process, depth: int, res: Enumeration) -> _Frame:
     if isinstance(p, Sum):
-        return _sum_transitions(p, res)
+        return _Frame(_sum_transitions(p, res))
     if isinstance(p, Parallel):
-        lefts = _trans(p.left, depth, res)
-        rights = _trans(p.right, depth, res)
-        out = [_lift(t, _PAR, p.right, True) for t in lefts]
-        out += [_lift(t, _PAR, p.left, False) for t in rights]
-        return out + _syncs(lefts, rights)
+        left = _trans(p.left, depth, res)
+        right = _trans(p.right, depth, res)
+        return _Frame(left.moves + right.moves + _syncs(left, right), (left, right), (p.left, p.right))
     if isinstance(p, Restriction):
-        # a chain of restrictions in one pass: drop the transitions on any
-        # of its names, then wrap the rest innermost name first
+        # a chain of restrictions in one pass: drop the moves on any of its
+        # names; the agents are wrapped innermost name first when read
         names = []
         while isinstance(p, Restriction):
             names.append(p.name)
             p = p.body
+        body = _trans(p, depth, res)
         hidden = set(names)
-        return [_lift(t, _NEW, names) for t in _trans(p, depth, res) if t.shape is Proc or t.chan not in hidden]
+        kept = [i for i, t in enumerate(body.moves) if t.shape is Proc or t.chan not in hidden]
+        kept = None if len(kept) == len(body.moves) else kept
+        moves = body.moves if kept is None else [body.moves[i] for i in kept]
+        return _Frame(moves, (body,), (names, kept))
     if isinstance(p, Replication):
         if depth <= 0:
             res.truncated = True
-            return []
+            return _Frame([])
         # lazy unfolding: one copy covers single-participant transitions;
         # !P itself persists in targets.  Copies are alpha-equivalent with
         # free-name labels, so a second copy (for copy-to-copy syncs) is
@@ -434,14 +453,16 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> list:
         # channel.  Else the counter skips the stamps it and its nested
         # unfolds would have drawn, so every later stamp keeps its number.
         before = res.counter[0]
-        base = _copy(p, depth - 1, res)
-        out = [_lift(t, _PAR, p, True) for t in base]
-        ins = {t.chan for t in base if t.shape is Abstraction}
-        if any(t.shape is Concretion and t.chan in ins for t in base):
-            out += _syncs(base, _copy(p, depth - 1, res), persist=p)
-        elif any(t.shape is not Proc for t in base):
+        copy = _copy(p, depth - 1, res)
+        # each copy move keeps its agent beside !P, so a move committed
+        # again on a later pass of a loop gives the same successor nodes
+        moves = [_pending(t, _agent_at, (copy, i, p)) for i, t in enumerate(copy.moves)]
+        ins = {t.chan for t in moves if t.shape is Abstraction}
+        if any(t.shape is Concretion and t.chan in ins for t in moves):
+            moves += _syncs(copy, _copy(p, depth - 1, res), persist=p)
+        elif any(t.shape is not Proc for t in moves):
             res.counter[0] += res.counter[0] - before
-        return out
+        return _Frame(moves)
     raise TypeError(p)
 
 
@@ -449,7 +470,8 @@ def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = 
     res = Enumeration()
     if counter is not None:
         res.counter = counter
-    res.transitions = _trans(p, depth, res)
+    f = _trans(p, depth, res)
+    res.transitions = [_pending(t, _agent_at, (f, i)) for i, t in enumerate(f.moves)]
     return res
 
 
@@ -680,30 +702,9 @@ class StopInfo:
 class ContinuousResult:
     duration: float
     ready: frozenset
-    process: Process
+    process: Process  # the successor, pruned
     stops: list
     full_flow: Optional[fl.Flow]  # every cell variable; None without cells or duration
-
-
-def _rebuild(p: Process, repl: dict) -> Process:
-    # subtrees without a replaced cell come back as the same object, so
-    # their memoised enumerations stay warm
-    r = repl.get(id(p))
-    if r is not None:
-        return r
-    if isinstance(p, Sum):
-        return p
-    if isinstance(p, Parallel):
-        l = _rebuild(p.left, repl)
-        r2 = _rebuild(p.right, repl)
-        return p if l is p.left and r2 is p.right else Parallel(l, r2)
-    if isinstance(p, Restriction):
-        b = _rebuild(p.body, repl)
-        return p if b is p.body else Restriction(p.name, b)
-    if isinstance(p, Replication):
-        b = _rebuild(p.body, repl)
-        return p if b is p.body else Replication(b)
-    return p
 
 
 def continuous_step(
@@ -726,12 +727,13 @@ def continuous_step(
         raise UrgencyViolation(f"discrete step enabled ({what}: {detail})")
     if sv.blocked:
         return None  # a component with no applicable rule blocks evolution
-    if not sv.cells and not ready and is_nil(prune(p)):
-        return None
     cells = sv.cells
     if not cells:
+        q = prune(p)
+        if not ready and is_nil(q):
+            return None
         # pure waiting: an empty flow of the full horizon
-        return ContinuousResult(horizon, ready, p, [], None)
+        return ContinuousResult(horizon, ready, q, [], None)
 
     vars_ = tuple(v for c in cells for v in c.prefix.vars)
     if len(set(vars_)) != len(vars_):
@@ -802,22 +804,19 @@ def continuous_step(
 
 
 def _finish(p, cells, vars_, times, samples, t_stop, y_stop, ok, ready):
-    duration = t_stop
     stops = []
     repl = {}
     offset = 0
-    for idx, c in enumerate(cells):
+    for c, ok_c in zip(cells, ok):
         k = len(c.prefix.vars)
         vals = y_stop[offset : offset + k]
         offset += k
-        if ok[idx]:
-            new_init = tuple(Const(v) for v in vals)
-            pfx = Continuous(new_init, c.prefix.vars, c.prefix.fields, c.prefix.boundary, c.prefix.ready, c.prefix.binders)
+        if ok_c:
+            pfx = Continuous(tuple(map(Const, vals)), c.prefix.vars, c.prefix.fields, c.prefix.boundary, c.prefix.ready, c.prefix.binders)
             repl[id(c.site)] = Sum(((pfx, c.cont),), tag=c.site.tag)
         else:
             sub = Substitution({b: Const(v) for b, v in zip(c.prefix.binders, vals)})
             repl[id(c.site)] = substitute(c.cont, sub)
             stops.append(StopInfo(c.site.tag, dict(zip(c.prefix.vars, vals))))
-    successor = _rebuild(p, repl)
-    full = fl.Flow(tuple(vars_), times, samples) if duration > 0 else None
-    return ContinuousResult(duration, ready, successor, stops, full)
+    full = fl.Flow(tuple(vars_), times, samples) if t_stop > 0 else None
+    return ContinuousResult(t_stop, ready, prune(p, repl), stops, full)

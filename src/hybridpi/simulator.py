@@ -224,7 +224,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
             if note_discrete(ev):
                 status = "zeno"
                 break
-        p = _peel(prune(res.process), names, hidden)
+        p = _peel(res.process, names, hidden)  # pruned by continuous_step
         if status == "zeno":
             break
         if res.duration == 0 and not res.stops:
@@ -251,23 +251,16 @@ def detect_zeno(
 ) -> ZenoReport:
     """Flags dense event clusters; estimates the accumulation point by
     geometric extrapolation of the gaps between distinct event times."""
-    times = []
-    for ev in trace:
-        if ev.kind in ("Evolve", "ZenoAbort", "Deadlock"):
-            continue
-        if not times or ev.time > times[-1]:
-            times.append(ev.time)
-        # events at an already-seen time do not add a new instant
-    flagged = False
-    peak = 0
-    lo = 0
     all_times = [ev.time for ev in trace if ev.kind not in ("Evolve", "ZenoAbort", "Deadlock")]
+    times = []  # the distinct instants: events at a seen time add none
+    for t in all_times:
+        if not times or t > times[-1]:
+            times.append(t)
+    peak = lo = 0
     for hi in range(len(all_times)):
         while all_times[hi] - all_times[lo] > window:
             lo += 1
         peak = max(peak, hi - lo + 1)
-    if peak > max_events:
-        flagged = True
     accumulation = None
     if len(times) >= 4:
         gaps = [times[i + 1] - times[i] for i in range(len(times) - 1)]
@@ -281,7 +274,7 @@ def detect_zeno(
                 if 0.0 < r < 0.95:
                     accumulation = times[i + 2] + g2 * r / (1.0 - r)
                 break
-    return ZenoReport(flagged, accumulation, peak)
+    return ZenoReport(peak > max_events, accumulation, peak)
 
 
 # ---------------------------------------------------------------------------

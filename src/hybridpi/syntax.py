@@ -678,11 +678,15 @@ def struct_congruent(p: Process, q: Process) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def prune(p: Process) -> Process:
-    # returns p itself when nothing changes so the memos on it stay warm
+def prune(p: Process, repl: Optional[dict] = None) -> Process:
+    """p without inert 0s; p itself when nothing changes, so its memos stay
+    warm.  ``repl`` maps ids of nodes of p to replacements (a continuous
+    step's cells), put in and pruned in the same spine walk."""
+    if repl and id(p) in repl:
+        p, repl = repl[id(p)], None
     if isinstance(p, Parallel):
-        l = prune(p.left)
-        r = prune(p.right)
+        l = prune(p.left, repl)
+        r = prune(p.right, repl)
         if is_nil(l):
             return r
         if is_nil(r):
@@ -691,7 +695,7 @@ def prune(p: Process) -> Process:
             return p
         return Parallel(l, r)
     if isinstance(p, Restriction):
-        b = prune(p.body)
+        b = prune(p.body, repl)
         if is_nil(b):
             return NIL
         if p.name not in free_names(b):
@@ -700,7 +704,7 @@ def prune(p: Process) -> Process:
             return p
         return Restriction(p.name, b)
     if isinstance(p, Replication):
-        b = prune(p.body)
+        b = prune(p.body, repl)
         if is_nil(b):
             return NIL
         if b is p.body:

@@ -334,6 +334,14 @@ def test_certcheck_gamma_for_no_edge_is_model_exit(hpc, capsys):
     assert "certificate gamma names 'sys-braek', which is no edge label" in err
 
 
+@pytest.mark.parametrize("part", ["phi", "lambda"])
+def test_certcheck_key_for_no_location_is_model_exit(hpc, capsys, part):
+    doc = json.loads(model_text("certificate.json"))
+    doc[part]["rnu"] = doc[part]["run"]
+    _, _, err = _certcheck_error(hpc, capsys, None, json.dumps(doc))
+    assert f"certificate {part} names 'rnu', which is no location" in err
+
+
 def test_simulate_env_with_a_bad_value_names_the_flag(hpc, capsys):
     f = hpc("w.hpc", model_text("wait.hpc"))
     assert main(["simulate", f, "--horizon", "1", "--env", "u=abc"]) == 3

@@ -236,3 +236,46 @@ def test_flat_parallel_applies_once_per_committed_sync(calls):
     assert res.status == "inaction"
     assert [ev.kind for ev in res.trace] == ["Sync"] * n
     assert calls["apply"] == n
+
+
+# -- shared moves ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("src", [
+    "a!<> || a() . 0 || a!<> || a() . 0",
+    "a!<> || (a() . 0 || (a!<> || a() . 0))",
+    "new a . (a!<> || c!<1> || a() . 0) || c(x) . 0 || new b . (b() . 0 || c(y) . b!<>)",
+])
+def test_shared_moves_keep_the_eager_order(src):
+    # the parser nests a flat parallel to the left; the second term nests to
+    # the right, and the third has restrictions that drop moves
+    assert_same_moves(refresh(parse_term(src)))
+
+
+def test_flat_parallel_enumeration_builds_each_move_once(monkeypatch):
+    n = 20
+    p = parse_term(" || ".join(["c!<1>"] * n + ["c(x) . 0"] * n))
+    built = [0]
+    real = kernel.Transition.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.Transition, "__init__", counting)
+    moves = discrete_transitions(p).transitions
+    assert len(moves) == 2 * n + n * n
+    # the sums' moves, the syncs and one root view per move
+    assert built[0] <= 3 * len(moves)
+
+
+def test_moves_are_lifted_from_what_their_enumeration_saw():
+    root = refresh(load("handover-network").main.entry)
+    first = discrete_transitions(root, 64, counter=[0])
+    # another depth replaces every memo on the term, and the factories
+    # draw other stamps from another counter
+    again = discrete_transitions(root, 63, counter=[500])
+    assert [t.tags for t in again.transitions] != [t.tags for t in first.transitions]
+    at_once = discrete_transitions(refresh(root), 64, counter=[0]).transitions
+    assert [t.tags for t in first.transitions] == [t.tags for t in at_once]
+    assert [comparable(t.agent) for t in first.transitions] == [comparable(t.agent) for t in at_once]
