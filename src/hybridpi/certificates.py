@@ -4,10 +4,11 @@ A certificate is a polynomial per location; the four conditions are checked
 on deterministic low-discrepancy samples of the relevant sets (plus box
 vertices), so a reported violation is sound while a pass is empirical.
 
-A key that names nothing is refused: an automaton's field, reset or box key
-(top-level or a set's) that is no state coordinate, on construction, and a
-certificate's phi or lambda key that is no location and gamma label that is
-neither `*` nor an edge's, by `check_certificate`.
+A key that names nothing is refused: a JSON object key that its kind does
+not allow (see ``_KEYS``), on reading; an automaton's field, reset or box
+key (top-level or a set's) that is no state coordinate, on construction;
+and a certificate's phi or lambda key that is no location and gamma label
+that is neither `*` nor an edge's, by `check_certificate`.
 """
 
 from __future__ import annotations
@@ -374,9 +375,10 @@ def _poly_to_json(p: Polynomial) -> dict:
     return {",".join(str(e) for e in exp): c for exp, c in p.terms}
 
 
-def _set_from_json(coords, obj) -> SetDesc:
+def _set_from_json(coords, obj, where: str) -> SetDesc:
     if obj is None:
         return SetDesc()
+    _keys(obj, "set", where)
     clauses = tuple(
         tuple(_poly_from_json(coords, ineq) for ineq in clause) for clause in obj.get("ineqs", [[]])
     )
@@ -393,19 +395,41 @@ def _set_to_json(s: Optional[SetDesc]):
     return out
 
 
+# The keys each kind of JSON object may carry, (required, optional): the
+# keys the writers write.  A reader refuses any other key, so a misspelled
+# one is an error, never a silently dropped condition.
+_KEYS = {
+    "automaton": ({"coords", "box", "locations"}, {"params", "edges"}),
+    "location": ({"field"}, {"invariant", "init", "unsafe"}),
+    "edge": ({"source", "target"}, {"guard", "reset", "label"}),
+    "set": (set(), {"ineqs", "box"}),
+    "certificate": ({"phi", "lambda", "gamma"}, set()),
+}
+
+
+def _keys(obj: dict, kind: str, where: str = "") -> None:
+    """Refuse a key of obj, a `kind` object at `where`, that the kind does
+    not allow, then a required key it lacks."""
+    required, optional = _KEYS[kind]
+    at = f"{where}: " if where else ""
+    for k in sorted(obj.keys() - required - optional):
+        raise HpiError(f"{at}unknown key {k!r}")
+    for k in sorted(required - obj.keys()):
+        raise HpiError(f"{at}missing {k!r}")
+
+
 def _from_json(text: str, what: str, build):
-    """build(the JSON object in text), with a missing or malformed part
-    reported as an HpiError instead of a KeyError or TypeError."""
+    """build(the JSON object in text), with a malformed part reported as an
+    HpiError instead of a TypeError or the like (``_keys`` words a missing
+    or unknown key)."""
     try:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise HpiError(f"expected a JSON object, got {type(obj).__name__}")
         return build(obj)
-    except KeyError as e:
-        raise HpiError(f"{what}: missing {e.args[0]!r}") from None
     except (HpiError, json.JSONDecodeError) as e:
         raise HpiError(f"{what}: {e}") from None
-    except (TypeError, AttributeError, IndexError, ValueError) as e:
+    except (TypeError, AttributeError, IndexError, KeyError, ValueError) as e:
         raise HpiError(f"{what}: malformed ({e})") from None
 
 
@@ -414,32 +438,29 @@ def automaton_from_json(text: str) -> HybridAutomaton:
 
 
 def _automaton(obj: dict) -> HybridAutomaton:
+    _keys(obj, "automaton")
     coords = tuple(obj["coords"])
     params = {k: (float(v[0]), float(v[1])) for k, v in obj.get("params", {}).items()}
     all_coords = coords + tuple(params)
     box = {k: (float(v[0]), float(v[1])) for k, v in obj["box"].items()}
     locations = {}
     for name, l in obj["locations"].items():
-        try:
-            locations[name] = Location(
-                name,
-                {k: _poly_from_json(all_coords, v) for k, v in l["field"].items()},
-                _set_from_json(all_coords, l.get("invariant")),
-                _set_from_json(all_coords, l["init"]) if l.get("init") else None,
-                _set_from_json(all_coords, l["unsafe"]) if l.get("unsafe") else None,
-            )
-        except KeyError as e:
-            raise HpiError(f"location {name!r}: missing {e.args[0]!r}") from None
-    edges = [
-        Edge(
-            e["source"],
-            e["target"],
-            _set_from_json(all_coords, e.get("guard")),
-            {k: _poly_from_json(all_coords, v) for k, v in e.get("reset", {}).items()},
-            e.get("label", f"e{i}"),
+        at = f"location {name!r}"
+        _keys(l, "location", at)
+        locations[name] = Location(
+            name,
+            {k: _poly_from_json(all_coords, v) for k, v in l["field"].items()},
+            _set_from_json(all_coords, l.get("invariant"), f"{at} invariant"),
+            _set_from_json(all_coords, l["init"], f"{at} init") if l.get("init") else None,
+            _set_from_json(all_coords, l["unsafe"], f"{at} unsafe") if l.get("unsafe") else None,
         )
-        for i, e in enumerate(obj.get("edges", []))
-    ]
+    edges = []
+    for i, e in enumerate(obj.get("edges", [])):
+        label = e.get("label", f"e{i}")
+        _keys(e, "edge", f"edge {label!r}")
+        guard = _set_from_json(all_coords, e.get("guard"), f"edge {label!r} guard")
+        reset = {k: _poly_from_json(all_coords, v) for k, v in e.get("reset", {}).items()}
+        edges.append(Edge(e["source"], e["target"], guard, reset, label))
     return HybridAutomaton(coords, params, box, locations, edges)
 
 
@@ -475,6 +496,7 @@ def certificate_from_json(text: str, coords: Sequence[str]) -> BarrierCertificat
     coords = tuple(coords)
 
     def build(obj: dict) -> BarrierCertificate:
+        _keys(obj, "certificate")
         phi = {name: _poly_from_json(coords, p) for name, p in obj["phi"].items()}
         lam = {name: float(v) for name, v in obj["lambda"].items()}
         gamma = {name: float(v) for name, v in obj["gamma"].items()}

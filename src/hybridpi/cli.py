@@ -37,7 +37,7 @@ from .equivalence import (
 from .kernel import IntegratorConfig
 from .parser import parse, pretty
 from .simulator import SimConfig, simulate, trace_to_jsonl, trajectory_to_csv
-from .syntax import HpiError, Continuous, Sum
+from .syntax import HpiError, Continuous, Sum, free_names
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -224,6 +224,12 @@ def cmd_approx(args) -> int:
     # parsed here even when workers re-parse: a ParseError raised in a
     # worker cannot be unpickled and would break the pool
     p, q = _load_entry(args.file_a), _load_entry(args.file_b)
+    # bind_env drops a key that names no free name, so refuse one neither reads
+    read = {n.display for n in free_names(p) | free_names(q)}
+    for i, sc in enumerate(scenarios):
+        pieces = [sc] if isinstance(sc, dict) else [d for _, d in sc or ()]
+        for k in sorted(set().union(*pieces) - read):
+            raise HpiError(f"{args.scenarios}: scenario {i}: key {k!r} is read by neither system")
     cfg = _sim_config(args)
     observe = tuple(args.observe or ())
     if args.jobs > 1 and len(scenarios) > 1:

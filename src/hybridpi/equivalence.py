@@ -46,7 +46,6 @@ from .syntax import (
     Process,
     Replication,
     Restriction,
-    Substitution,
     SubstitutionError,
     Sum,
     Var,
@@ -113,7 +112,7 @@ def build_lts(
                 f = tr.agent
                 targets = []
                 for vals in itertools.product(universe, repeat=len(f.binders)):
-                    sub = Substitution({b: Const(v) for b, v in zip(f.binders, vals)})
+                    sub = {b: Const(v) for b, v in zip(f.binders, vals)}
                     try:
                         tgt = substitute(f.body, sub)
                     except SubstitutionError:
@@ -124,9 +123,7 @@ def build_lts(
                 c = tr.agent
                 if len(c.restricted) > len(_PRIV):
                     raise HpiError("too many extruded names in one concretion")
-                ren = Substitution(
-                    {n: Var(_PRIV[i]) for i, n in enumerate(c.restricted)}
-                )
+                ren = {n: Var(_PRIV[i]) for i, n in enumerate(c.restricted)}
                 vals = []
                 ok = True
                 for e in c.payload:
@@ -380,7 +377,7 @@ def rk4_increment(vars_: Sequence[Name], field_: Sequence[Expr], h: float) -> li
     y = [Var(v) for v in vars_]
 
     def at(offset: Sequence[Expr]) -> list:
-        sub = Substitution(dict(zip(vars_, offset)))
+        sub = dict(zip(vars_, offset))
         return [subst_expr(f, sub) for f in field_]
 
     def shift(ks: list, c: float) -> list:
@@ -433,7 +430,7 @@ def discretize(
         )
         return restrict((c,) + ws, Sum(((cell, cont),), tag=tag))
 
-    phi = rk4_increment(ys, [subst_expr(f, Substitution(dict(zip(vars_, (Var(y) for y in ys))))) for f in field_], step)
+    phi = rk4_increment(ys, [subst_expr(f, dict(zip(vars_, map(Var, ys)))) for f in field_], step)
     advanced = tuple(Op("+", (Var(ys[i]), Op("*", (phi[i], Const(step))))) for i in range(n))
     recurse = prefixed(Output(x, advanced + (Op("-", (Var(z), Const(step))),)), NIL, tag="disc:recurse")
 

@@ -50,7 +50,6 @@ from .syntax import (
     Process,
     Replication,
     Restriction,
-    Substitution,
     Sum,
     Tau,
     Var,
@@ -116,10 +115,7 @@ class Concretion:
     body: Process
 
     def __post_init__(self):
-        names = set()
-        for e in self.payload:
-            names |= expr_names(e)
-        if not set(self.restricted) <= names:
+        if not frozenset().union(*map(expr_names, self.payload)).issuperset(self.restricted):
             raise ValueError("restricted names of a concretion must occur in its payload")
 
 
@@ -223,7 +219,7 @@ class Enumeration:
 def _rename_concretion(c: Concretion, avoid: frozenset) -> Concretion:
     """c with its restricted names renamed apart from `avoid`."""
     restricted, sub = rename_apart(c.restricted, avoid)
-    if sub is None:
+    if not sub:
         return c
     return Concretion(restricted, tuple(subst_expr(e, sub) for e in c.payload), substitute(c.body, sub))
 
@@ -249,10 +245,7 @@ def restrict_agent(x: Name, a: Agent) -> Agent:
         return Proc(Restriction(x, a.body))
     if isinstance(a, Abstraction):
         return Abstraction(a.binders, Restriction(x, a.body))
-    payload_names = set()
-    for e in a.payload:
-        payload_names |= expr_names(e)
-    if x in payload_names:
+    if x in frozenset().union(*map(expr_names, a.payload)):
         return Concretion((x,) + a.restricted, a.payload, a.body)
     return Concretion(a.restricted, a.payload, Restriction(x, a.body))
 
@@ -272,7 +265,7 @@ def apply(f: Abstraction, c: Concretion) -> Process:
             norm.append(Const(float(v)))
         else:
             norm.append(e)
-    body = substitute(f.body, Substitution(dict(zip(f.binders, norm))))
+    body = substitute(f.body, dict(zip(f.binders, norm)))
     return restrict(c.restricted, Parallel(body, c.body))
 
 
@@ -299,9 +292,8 @@ def _sum_transitions(p: Sum, res: Enumeration):
                 res.diagnostics.append(("undefined-guard", p.tag))
         elif isinstance(pi, Continuous):
             keep = Sum(((pi, cont),), tag=p.tag)
-            items = sorted(pi.ready, key=lambda it: (pi.vars.index(it[0]), it[1]))
-            for v, pol in items:
-                i = pi.vars.index(v)
+            for i, pol in sorted(pi.ready):
+                v = pi.vars[i]
                 if pol:  # sense: emit the current value
                     out.append(_move(Concretion((), (pi.init[i],), keep), "sense", v, (pi.init[i],), tag))
                 else:  # actuate: accept a fresh value
@@ -402,7 +394,7 @@ def _stamp_agent(f: _Frame, i: int, suffix: str) -> Agent:
     body = refresh(a.body, suffix, sub)
     if isinstance(a, Abstraction):
         return Abstraction(new, body)
-    return Concretion(new, a.payload if sub is None else tuple(subst_expr(e, sub) for e in a.payload), body)
+    return Concretion(new, tuple(subst_expr(e, sub) for e in a.payload) if sub else a.payload, body)
 
 
 def _copy(p: Replication, depth: int, res: Enumeration) -> _Frame:
@@ -494,8 +486,9 @@ class Survey:
     blocked: list = field(default_factory=list)  # sums with no applicable rule
 
 
-# A ready set is a frozenset of (name, is_output) pairs: (name, True) is an
-# output (sense side), (name, False) an input (actuate side).
+# A process's ready set is a frozenset of (name, is_output) pairs: (name,
+# True) is an output (sense side), (name, False) an input (actuate side).
+# A cell's ready set holds positions instead: (variable index, is_output).
 
 
 def dual(ready: frozenset) -> frozenset:
@@ -533,15 +526,9 @@ def _survey(p: Process, sv: Survey) -> frozenset:
         if cont_branch is not None:
             pi, cont = cont_branch
             sv.cells.append(_CellInfo(p, pi, cont))
-            return pi.ready
-        if waiting:
-            items = set()
-            for pi in waiting:
-                if isinstance(pi, Input):
-                    items.add((pi.chan, False))
-                else:
-                    items.add((pi.chan, True))
-            return frozenset(items)
+            return frozenset((pi.vars[i], pol) for i, pol in pi.ready)
+        if waiting:  # an input waits on the actuate side, an output on the sense side
+            return frozenset((pi.chan, not isinstance(pi, Input)) for pi in waiting)
         if live == 0:
             sv.blocked.append(p.tag)
         return frozenset()
@@ -815,8 +802,7 @@ def _finish(p, cells, vars_, times, samples, t_stop, y_stop, ok, ready):
             pfx = Continuous(tuple(map(Const, vals)), c.prefix.vars, c.prefix.fields, c.prefix.boundary, c.prefix.ready, c.prefix.binders)
             repl[id(c.site)] = Sum(((pfx, c.cont),), tag=c.site.tag)
         else:
-            sub = Substitution({b: Const(v) for b, v in zip(c.prefix.binders, vals)})
-            repl[id(c.site)] = substitute(c.cont, sub)
+            repl[id(c.site)] = substitute(c.cont, {b: Const(v) for b, v in zip(c.prefix.binders, vals)})
             stops.append(StopInfo(c.site.tag, dict(zip(c.prefix.vars, vals))))
     full = fl.Flow(tuple(vars_), times, samples) if t_stop > 0 else None
     return ContinuousResult(t_stop, ready, prune(p, repl), stops, full)

@@ -57,7 +57,6 @@ from .syntax import (
     Process,
     Replication,
     Restriction,
-    Substitution,
     Sum,
     TRUE,
     Tau,
@@ -427,7 +426,7 @@ class _Parser:
             )
         self.inst[0] += 1
         try:
-            inst = refresh(body, f"@{self.inst[0]}", Substitution(zip(params, args)))
+            inst = refresh(body, f"@{self.inst[0]}", dict(zip(params, args)))
         except HpiError as e:
             raise ParseError(f"in call to {nm.text}: {e}", nm.line, nm.col) from None
         if self.at("."):
@@ -497,7 +496,7 @@ class _Parser:
             if n not in vars_:
                 raise ParseError(f"ready item {nm.text!r} is not an ODE variable", nm.line, nm.col)
             if self.at("!") or self.at("?"):
-                return n, self.next().text == "!"
+                return vars_.index(n), self.next().text == "!"
             self.fail("ready item needs ! (sense) or ? (actuate)")
 
         self.comma_list(ode)
@@ -518,21 +517,12 @@ class _Parser:
             self.scope.append({})  # binders scope over the continuation
             binders = self.comma_list(self.binder, ")")
             self.eat(")")
-        if len(init) != len(vars_):
-            raise ParseError(
-                f"continuous prefix has {len(init)} initial value(s) for {len(vars_)} variable(s)",
-                t.line,
-                t.col,
-            )
-        if binders and len(binders) != len(vars_):
-            raise ParseError(
-                f"continuous prefix binds {len(binders)} name(s) for {len(vars_)} variable(s)",
-                t.line,
-                t.col,
-            )
-        return Continuous(
-            tuple(init), tuple(vars_), tuple(fields), boundary, frozenset(items), tuple(binders)
-        )
+        n = len(vars_)
+        if len(init) != n:
+            raise ParseError(f"continuous prefix has {len(init)} initial value(s) for {n} variable(s)", t.line, t.col)
+        if binders and len(binders) != n:
+            raise ParseError(f"continuous prefix binds {len(binders)} name(s) for {n} variable(s)", t.line, t.col)
+        return Continuous(tuple(init), tuple(vars_), tuple(fields), boundary, frozenset(items), tuple(binders))
 
     # -- expressions --------------------------------------------------------
 
@@ -690,8 +680,8 @@ class _Printer:
         if pi.boundary != TRUE:
             s += f" & {self.expr(pi.boundary)}"
         if pi.ready:
-            items = sorted(pi.ready, key=lambda it: (self.name(it[0]), it[1]))
-            s += " ; ready " + ", ".join(f"{self.name(n)}{'!' if pol else '?'}" for n, pol in items)
+            items = sorted((self.name(pi.vars[i]), pol) for i, pol in pi.ready)
+            s += " ; ready " + ", ".join(f"{n}{'!' if pol else '?'}" for n, pol in items)
         s += "}"
         if pi.binders:
             s += f"({', '.join(self.name(n) for n in pi.binders)})"

@@ -12,19 +12,21 @@ and cell boundaries) are expressions over the connectives false, <, and,
 not; the other comparisons and ``or`` are sugar over them.
 
 The calculus has three binders: ``new``, input binders and a cell's
-continuation binders.  One walker, ``_rewrite`` with its one scope rule
-``_scope``, rewrites under all three: ``substitute`` applies a
-substitution capture-avoidingly, and ``refresh`` renames every binder,
-stamps every tag and applies an optional substitution in a single pass
-(replication unfolding and definition instances).  ``substitute`` defers
-the sums it reaches, in the manner of explicit substitutions: a sum whose
-channels, cell variables and ready names the substitution leaves alone
-comes back as a deferred sum, which keeps the source sum and the
-substitution and builds its branches when they are first read.  So a
-received value costs nothing in the branches a run never takes, while a
-sum that would put a non-name in a name slot is built, and fails, at
-once.  A deferred sum's free names come from its source.  ``refresh``
-stays eager, so its fresh names and stamps are drawn in one fixed order.
+continuation binders.  ``slots`` alone states where a prefix holds names
+(name positions, values, binders); the walkers read it.  A substitution is
+a plain dict from names to expressions.  One walker, ``_rewrite`` with its
+one scope rule ``_scope``, rewrites under all three binders: ``substitute``
+applies a substitution capture-avoidingly, and ``refresh`` renames every
+binder, stamps every tag and applies an optional substitution in a single
+pass (replication unfolding and definition instances).  ``substitute``
+defers the sums it reaches, in the manner of explicit substitutions: a sum
+whose name slots the substitution leaves alone comes back as a deferred
+sum, which keeps the source sum and the substitution and builds its
+branches when they are first read.  So a received value costs nothing in
+the branches a run never takes, while a sum that would put a non-name in a
+name slot is built, and fails, at once.  A deferred sum's free names come
+from its source.  ``refresh`` stays eager, so its fresh names and stamps
+are drawn in one fixed order.
 
 Derived facts (free names, enumerations, structural flags, a deferred
 sum's branches) are memoised on each node itself, so a node must never be
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 
 class HpiError(Exception):
@@ -190,12 +192,14 @@ class Tau:
 class Input:
     chan: Name
     binders: tuple[Name, ...]
+    position = "channel"  # how a SubstitutionError words the name slot
 
 
 @dataclass(unsafe_hash=True)
 class Output:
     chan: Name
     payload: tuple  # of Expr
+    position = "channel"
 
 
 @dataclass(unsafe_hash=True)
@@ -209,8 +213,9 @@ class Continuous:
     vars: tuple            # Name per variable, pairwise distinct
     fields: tuple          # Expr per variable (right-hand sides)
     boundary: Expr
-    ready: frozenset       # (name, is_output) pairs: sense (True), actuate (False)
+    ready: frozenset       # (variable index, is_output) pairs: sense (True), actuate (False)
     binders: tuple = ()    # continuation binders; empty means final state dropped
+    position = "continuous variable"
 
     def __post_init__(self):
         if not (len(self.init) == len(self.vars) == len(self.fields)):
@@ -219,13 +224,41 @@ class Continuous:
             raise ValueError("continuous variables must be pairwise distinct")
         if self.binders and len(self.binders) != len(self.vars):
             raise ValueError("continuation binders must match variable count")
-        own = set(self.vars)
-        for n, _pol in self.ready:
-            if n not in own:
-                raise ValueError(f"ready-set entry {n.display} is not an ODE variable")
+        for i, _pol in self.ready:
+            if i not in range(len(self.vars)):
+                raise ValueError(f"ready-set entry {i!r} is not the index of an ODE variable")
 
 
 Prefix = Union[Tau, Input, Output, Guard, Continuous]
+
+
+def slots(pi: Prefix) -> tuple:
+    """Where pi holds names, the one statement of it that the free-name,
+    name-slot and rewrite walkers read: its names in name position, its
+    value expressions and its binders.  ``_remake`` puts them back."""
+    if isinstance(pi, Output):
+        return (pi.chan,), pi.payload, ()
+    if isinstance(pi, Input):
+        return (pi.chan,), (), pi.binders
+    if isinstance(pi, Guard):
+        return (), (pi.cond,), ()
+    if isinstance(pi, Continuous):
+        return pi.vars, pi.init + pi.fields + (pi.boundary,), pi.binders
+    return (), (), ()  # Tau
+
+
+def _remake(pi: Prefix, names: tuple, values: tuple, binders: tuple) -> Prefix:
+    """pi with the slots that ``slots`` reads replaced, in its order."""
+    if isinstance(pi, Output):
+        return Output(names[0], values)
+    if isinstance(pi, Input):
+        return Input(names[0], binders)
+    if isinstance(pi, Guard):
+        return Guard(values[0])
+    if isinstance(pi, Continuous):
+        k = len(names)  # values are init, fields, then the boundary
+        return Continuous(values[:k], names, values[k:-1], values[-1], pi.ready, binders)
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +370,8 @@ def _constructs(p: Process) -> frozenset:
 
 
 def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]:
-    if isinstance(pi, Tau):
-        return cont_free
-    if isinstance(pi, Input):
-        return (cont_free - frozenset(pi.binders)) | {pi.chan}
-    if isinstance(pi, Output):
-        out = cont_free | {pi.chan}
-        for e in pi.payload:
-            out |= expr_names(e)
-        return out
-    if isinstance(pi, Guard):
-        return cont_free | expr_names(pi.cond)
-    if isinstance(pi, Continuous):
-        out = cont_free - frozenset(pi.binders)
-        out |= frozenset(pi.vars)
-        for e in pi.init:
-            out |= expr_names(e)
-        for e in pi.fields:
-            out |= expr_names(e)
-        out |= expr_names(pi.boundary)
-        out |= {n for n, _ in pi.ready}
-        return out
-    raise TypeError(pi)
+    names, values, binders = slots(pi)
+    return cont_free.difference(binders).union(names, *map(expr_names, values))
 
 
 def free_names(p: Process) -> frozenset[Name]:
@@ -370,8 +383,8 @@ def _free_names(p: Process) -> frozenset[Name]:
         # capture-avoiding: the source's free names, each one the
         # substitution maps traded for the names of its value
         src = free_names(p.src)
-        hit = src.intersection(p.sub.mapping)
-        return (src - hit).union(*[expr_names(p.sub.mapping[n]) for n in hit])
+        hit = src.intersection(p.sub)
+        return (src - hit).union(*[expr_names(p.sub[n]) for n in hit])
     if isinstance(p, Sum):
         out: frozenset[Name] = frozenset()
         for pi, cont in p.branches:
@@ -387,9 +400,9 @@ def _free_names(p: Process) -> frozenset[Name]:
 
 
 def name_slots(p: Process) -> frozenset[Name]:
-    """The free names of p in name positions: channels, cell variables and
-    ready names (which are cell variables).  A substitution that maps none
-    of them puts values only where values go, so applying it cannot fail."""
+    """The free names of p in name positions: channels and cell variables.
+    A substitution that maps none of them puts values only where values go,
+    so applying it cannot fail."""
     return memo(p, "_name_slots", _name_slots)
 
 
@@ -399,14 +412,9 @@ def _name_slots(p: Process) -> frozenset[Name]:
     if isinstance(p, Sum):
         out = set()
         for pi, cont in p.branches:
-            inner = name_slots(cont)
-            if isinstance(pi, (Input, Continuous)):
-                inner = inner.difference(pi.binders)
-            out |= inner
-            if isinstance(pi, (Input, Output)):
-                out.add(pi.chan)
-            elif isinstance(pi, Continuous):
-                out.update(pi.vars)
+            names, _, binders = slots(pi)
+            out |= name_slots(cont).difference(binders)
+            out.update(names)
         return frozenset(out)
     if isinstance(p, Restriction):
         return name_slots(p.body) - {p.name}
@@ -420,52 +428,36 @@ def _name_slots(p: Process) -> frozenset[Name]:
 # ---------------------------------------------------------------------------
 
 
-class Substitution:
-    """Finite map from names to expressions, identity elsewhere."""
-
-    def __init__(self, mapping: dict[Name, Expr] | Iterable[tuple[Name, Expr]] = ()):
-        self.mapping: dict[Name, Expr] = dict(mapping)
-
-    def __bool__(self):
-        return bool(self.mapping)
-
-    def name_for(self, n: Name, where: str) -> Name:
-        """Replacement for a name in channel/variable position; must be a name."""
-        r = self.mapping.get(n)
-        if r is None:
-            return n
-        if isinstance(r, Var):
-            return r.name
-        raise SubstitutionError(
-            f"cannot substitute non-name expression for {n.display} in {where} position"
-        )
-
-    def free_in_range(self) -> frozenset[Name]:
-        out: frozenset[Name] = frozenset()
-        for e in self.mapping.values():
-            out |= expr_names(e)
-        return out
+def name_for(s: dict, n: Name, where: str) -> Name:
+    """What substitution s puts in n's name position: a name, never another
+    expression."""
+    r = s.get(n)
+    if r is None:
+        return n
+    if isinstance(r, Var):
+        return r.name
+    raise SubstitutionError(f"cannot substitute non-name expression for {n.display} in {where} position")
 
 
-def subst_expr(e: Expr, s: Substitution) -> Expr:
+def subst_expr(e: Expr, s: dict) -> Expr:
     if isinstance(e, Op):
         return Op(e.op, tuple([subst_expr(a, s) for a in e.args]))
     if isinstance(e, Var):
-        return s.mapping.get(e.name, e)
+        return s.get(e.name, e)
     return e
 
 
 def rename_apart(names: tuple, avoid: frozenset):
     """Capture-avoiding renaming: `names` with each member of `avoid`
     replaced by a fresh name, drawn in order, and that renaming as a
-    substitution (None when nothing clashes)."""
+    substitution (empty when nothing clashes)."""
     ren = {n: fresh_like(n) for n in names if n in avoid}
     if not ren:
-        return names, None
-    return tuple(ren.get(n, n) for n in names), Substitution({k: Var(v) for k, v in ren.items()})
+        return names, ren
+    return tuple(ren.get(n, n) for n in names), {k: Var(v) for k, v in ren.items()}
 
 
-def _scope(binders: tuple, body: Process, s: Substitution, renew: bool):
+def _scope(binders: tuple, body: Process, s: dict, renew: bool):
     """The one binder rule: ``binders`` as rewritten, and the substitution
     in force under them in ``body`` -- s without the binders, plus their
     renaming.  Renewing renames every binder to a fresh name; otherwise a
@@ -473,20 +465,19 @@ def _scope(binders: tuple, body: Process, s: Substitution, renew: bool):
     key is free in body would be captured."""
     if renew:
         new = tuple(map(fresh_like, binders))
-        inner = Substitution(s.mapping)
-        inner.mapping.update(zip(binders, map(Var, new)))
+        inner = dict(s)
+        inner.update(zip(binders, map(Var, new)))
         return new, inner
     live = free_names(body)
-    inner = Substitution({k: v for k, v in s.mapping.items() if k in live and k not in binders})
+    inner = {k: v for k, v in s.items() if k in live and k not in binders}
     if not inner:
         return binders, inner
-    new, ren = rename_apart(binders, inner.free_in_range())
-    if ren:
-        inner.mapping.update(ren.mapping)
+    new, ren = rename_apart(binders, frozenset().union(*map(expr_names, inner.values())))
+    inner.update(ren)
     return new, inner
 
 
-def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) -> Process:
+def _rewrite(p: Process, s: dict, renew: bool, suffix: Optional[str]) -> Process:
     """The one binder-aware walker: p with s applied to its free names,
     capture-avoiding.  When renewing, every binder also gets a fresh name
     and every tag the suffix.  Without renewal, a sum whose name slots s
@@ -496,11 +487,11 @@ def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) ->
     built."""
     # without renewal an untouched subtree comes back as the same object,
     # keeping its memos warm across transitions
-    if not renew and (not s or free_names(p).isdisjoint(s.mapping)):
+    if not renew and (not s or free_names(p).isdisjoint(s)):
         return p
     if isinstance(p, Sum):
         # else built now, so that a non-name in a name slot raises here
-        if not renew and name_slots(p).isdisjoint(s.mapping):
+        if not renew and name_slots(p).isdisjoint(s):
             return _Deferred(p, s)
         tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
         return Sum(tuple(_rewrite_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
@@ -514,28 +505,18 @@ def _rewrite(p: Process, s: Substitution, renew: bool, suffix: Optional[str]) ->
     raise TypeError(p)
 
 
-def _rewrite_branch(pi: Prefix, cont: Process, s: Substitution, renew: bool, suffix: Optional[str]):
-    """_rewrite of one sum branch, the only dispatch on prefix type."""
+def _rewrite_branch(pi: Prefix, cont: Process, s: dict, renew: bool, suffix: Optional[str]):
+    """_rewrite of one sum branch: pi's names, its values, its binders, then
+    the continuation under them."""
+    names, values, binders = slots(pi)
+    if names:
+        names = tuple([name_for(s, n, pi.position) for n in names])
+    if values:
+        values = tuple([subst_expr(e, s) for e in values])
     inner = s
-    if isinstance(pi, Input):
-        chan = s.name_for(pi.chan, "channel")
-        binders, inner = _scope(pi.binders, cont, s, renew)
-        pi = Input(chan, binders)
-    elif isinstance(pi, Output):
-        pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
-    elif isinstance(pi, Guard):
-        pi = Guard(subst_expr(pi.cond, s))
-    elif isinstance(pi, Continuous):
-        vars_ = tuple(s.name_for(v, "continuous variable") for v in pi.vars)
-        init = tuple(subst_expr(e, s) for e in pi.init)
-        fields = tuple(subst_expr(e, s) for e in pi.fields)
-        boundary = subst_expr(pi.boundary, s)
-        rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
-        binders, inner = _scope(pi.binders, cont, s, renew)
-        pi = Continuous(init, vars_, fields, boundary, rdy, binders)
-    elif not isinstance(pi, Tau):
-        raise TypeError(pi)
-    return pi, _rewrite(cont, inner, renew, suffix)
+    if binders:
+        binders, inner = _scope(binders, cont, s, renew)
+    return _remake(pi, names, values, binders), _rewrite(cont, inner, renew, suffix)
 
 
 class _Deferred(Sum):
@@ -547,7 +528,7 @@ class _Deferred(Sum):
     without building it, and it compares, hashes and prints as the Sum it
     stands for."""
 
-    def __init__(self, src: Sum, s: Substitution):
+    def __init__(self, src: Sum, s: dict):
         self.tag = src.tag
         self.src = src
         self.sub = s
@@ -564,21 +545,21 @@ def _build(p: _Deferred) -> tuple:
     return tuple(_rewrite_branch(pi, cont, p.sub, False, None) for pi, cont in p.src.branches)
 
 
-def substitute(p: Process, s: Substitution) -> Process:
+def substitute(p: Process, s: dict) -> Process:
     """p with s applied to its free names; a bound name that a name in s's
     range would be captured by is renamed to a fresh one.  Sums that s
     touches only in value positions come back deferred (see _Deferred)."""
-    return _rewrite(p, Substitution(s.mapping), False, None)
+    return _rewrite(p, dict(s), False, None)
 
 
-def refresh(p: Process, suffix: Optional[str] = None, s: Optional[Substitution] = None) -> Process:
+def refresh(p: Process, suffix: Optional[str] = None, s: Optional[dict] = None) -> Process:
     """One pass that renames every binder to a fresh id (restoring
     Barendregt), stamps every sum tag with ``suffix``, nested replication
     bodies included, and applies ``s`` to the free names.  The stamp keeps
     the events of one unfolded copy or inlined instance apart (a copy
     spawned inside copy #k carries #k#m); a definition instance is
     ``refresh(body, "@k", params -> args)``."""
-    return _rewrite(p, s or Substitution(), True, suffix)
+    return _rewrite(p, s or {}, True, suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +629,7 @@ def _canon_branch(pi: Prefix, cont: Process, env: dict[Name, str], depth: int, f
         vars_ = " ".join(env.get(v, f"f[{v.id}]") for v in pi.vars)
         init = " ".join(_canon_expr(e, env) for e in pi.init)
         fields = " ".join(_canon_expr(e, env) for e in pi.fields)
-        rdy = sorted(
-            f"{env.get(n, f'f[{n.id}]')}{'!' if pol else '?'}" for n, pol in pi.ready
-        )
+        rdy = sorted(f"{i}{'!' if pol else '?'}" for i, pol in pi.ready)
         env2 = _bind(env, depth, pi.binders)
         return (
             f"(ode [{vars_}] [{init}] [{fields}] {_canon_expr(pi.boundary, env)} "

@@ -29,6 +29,20 @@ def test_parse_error_is_model_exit(hpc, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("const x = 1; run {0 | x' = 1};", "1:23: ODE variable 'x' shadows a constant"),
+    ("run {0, 0 | x' = 1, x' = 2};", "1:21: duplicate ODE variable 'x'"),
+    ("run new y . {0 | x' = 1 ; ready y!};", "1:33: ready item 'y' is not an ODE variable"),
+    ("run {0 | x' = 1 ; ready x};", "1:26: ready item needs ! (sense) or ? (actuate)"),
+    ("run {0, 1 | x' = 1};", "1:5: continuous prefix has 2 initial value(s) for 1 variable(s)"),
+    ("run {0 | x' = 1}(a, b);", "1:5: continuous prefix binds 2 name(s) for 1 variable(s)"),
+])
+def test_parse_errors_of_a_continuous_prefix(hpc, capsys, text, line):
+    f = hpc("c.hpc", text)
+    assert main(["parse", f]) == 3
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_missing_file_is_model_exit(capsys):
     assert main(["simulate", "/nonexistent.hpc"]) == 3
 
@@ -325,6 +339,44 @@ def test_certcheck_automaton_key_naming_no_coordinate_is_model_exit(hpc, capsys,
     table[key] = table[next(iter(table))]  # a valid entry under a key naming nothing
     aut, _, err = _certcheck_error(hpc, capsys, json.dumps(doc), None)
     assert f"{aut}: automaton: malformed ({named}, which is not a state coordinate)" in err
+
+
+@pytest.mark.parametrize("misspell, named", [
+    ((("edges", "edgse"), ("locations", "run", "unsafe", "unsafe_")), "automaton: unknown key 'edgse'"),
+    ((("locations", "run", "unsafe", "unsafe_"),), "automaton: location 'run': unknown key 'unsafe_'"),
+])
+def test_certcheck_unknown_automaton_key_is_model_exit(hpc, capsys, misspell, named):
+    doc = json.loads(model_text("automaton-h.json"))
+    for *path, key, wrong in misspell:
+        table = doc
+        for step in path:
+            table = table[step]
+        table[wrong] = table.pop(key)
+    aut, _, err = _certcheck_error(hpc, capsys, json.dumps(doc), None)
+    assert f"{aut}: {named}" in err
+
+
+def test_certcheck_unknown_certificate_key_is_model_exit(hpc, capsys):
+    doc = json.loads(model_text("certificate.json"))
+    doc["gamm"] = doc["gamma"]
+    _, cert, err = _certcheck_error(hpc, capsys, None, json.dumps(doc))
+    assert f"{cert}: certificate: unknown key 'gamm'" in err
+
+
+@pytest.mark.parametrize("scenarios, index", [
+    ([{"u": 0.0, "zz": 5}], 0),
+    ({"scenarios": [{"u": 0.0}, [[0, {"u": 1.0}], [1, {"u": 0.5, "zz": 2}]]]}, 1),
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_approx_scenario_key_neither_system_reads_is_model_exit(hpc, capsys, scenarios, index, jobs):
+    a, b = hpc("spec.hpc", model_text("spec.hpc")), hpc("system.hpc", model_text("system.hpc"))
+    sc = hpc("sc.json", json.dumps(scenarios))
+    args = ["approx", a, b, "--eps", "400", "--delta", "1", "--horizon", "1", "--scenarios", sc, "--jobs", jobs]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {sc}: scenario {index}: key 'zz' is read by neither system\n"
+    # a key that only one system reads (spec.hpc reads no u) is accepted
+    sc = hpc("sc.json", json.dumps([{"u": 0.0}]))
+    assert main(args) == 0
 
 
 def test_certcheck_gamma_for_no_edge_is_model_exit(hpc, capsys):

@@ -19,7 +19,6 @@ from hybridpi.syntax import (
     Parallel,
     Replication,
     Restriction,
-    Substitution,
     Sum,
     Var,
     canonical_key,
@@ -145,10 +144,10 @@ def comparable(agent):
     if isinstance(agent, Proc):
         body, head = agent.body, ()
     elif isinstance(agent, Abstraction):
-        sub = Substitution({b: Var(PLACEHOLDERS[i]) for i, b in enumerate(agent.binders)})
+        sub = {b: Var(PLACEHOLDERS[i]) for i, b in enumerate(agent.binders)}
         body, head = substitute(agent.body, sub), ("in", len(agent.binders))
     else:
-        sub = Substitution({n: Var(PLACEHOLDERS[i]) for i, n in enumerate(agent.restricted)})
+        sub = {n: Var(PLACEHOLDERS[i]) for i, n in enumerate(agent.restricted)}
         body = substitute(agent.body, sub)
         head = ("out", tuple(norm_expr(subst_expr(e, sub), None) for e in agent.payload))
     return head, canonical_key(body), tags(body)

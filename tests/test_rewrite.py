@@ -22,7 +22,6 @@ from hybridpi.syntax import (
     Parallel,
     Replication,
     Restriction,
-    Substitution,
     SubstitutionError,
     Sum,
     Var,
@@ -73,7 +72,7 @@ def test_capture_under_a_cell_binder_renames_it():
     p = parse_term("{0 | x' = 1}(z) . c!<z + w>")
     (pi, _), = p.branches
     z = pi.binders[0]
-    q = substitute(p, Substitution({by_display(p)["w"]: Var(z)}))
+    q = substitute(p, {by_display(p)["w"]: Var(z)})
     (qi, qcont), = q.branches
     (out, _), = qcont.branches
     z2 = qi.binders[0]
@@ -85,7 +84,7 @@ def test_capture_under_a_cell_binder_renames_it():
 @pytest.mark.parametrize("text", ["{0 | x' = 1}", "{0 | x' = 1 ; ready x!}", "{0 | x' = 1 ; ready x?}(v) . c!<v>"])
 def test_substituting_a_non_name_for_a_cell_variable_fails(text):
     p = parse_term(text)
-    s = Substitution({by_display(p)["x"]: Const(2.0)})
+    s = {by_display(p)["x"]: Const(2.0)}
     for rewrite in (lambda: substitute(p, s), lambda: refresh(p, "@1", s)):
         with pytest.raises(SubstitutionError, match="for x in continuous variable position"):
             rewrite()
@@ -94,7 +93,7 @@ def test_substituting_a_non_name_for_a_cell_variable_fails(text):
 def test_substituting_a_non_name_for_a_channel_fails():
     p = parse_term("tau . c!<1>")
     with pytest.raises(SubstitutionError, match="for c in channel position"):
-        substitute(p, Substitution({by_display(p)["c"]: Const(2.0)}))
+        substitute(p, {by_display(p)["c"]: Const(2.0)})
 
 
 def test_definition_call_with_a_non_name_channel_names_its_position():
@@ -110,7 +109,7 @@ def test_one_pass_instance_equals_refresh_then_substitute():
         names = sorted(free_names(p), key=lambda n: n.id)
         if len(names) < 2:
             continue
-        s = Substitution({names[0]: Var(names[1]), names[1]: Var(names[0])})
+        s = {names[0]: Var(names[1]), names[1]: Var(names[0])}
         one, two = refresh(p, "@7", s), substitute(refresh(p, "@7"), s)
         assert canonical_key(one) == canonical_key(two)
         assert tags(one) == tags(two)
@@ -121,7 +120,7 @@ def test_one_pass_instance_equals_refresh_then_substitute():
 
 def eager_substitute(p, s):
     """substitute as it was before sums were deferred."""
-    if not s or free_names(p).isdisjoint(s.mapping):
+    if not s or free_names(p).isdisjoint(s):
         return p
     if isinstance(p, Sum):
         return Sum(tuple(eager_branch(pi, cont, s) for pi, cont in p.branches), tag=p.tag)
@@ -136,21 +135,20 @@ def eager_substitute(p, s):
 def eager_branch(pi, cont, s):
     inner = s
     if isinstance(pi, Input):
-        chan = s.name_for(pi.chan, "channel")
+        chan = syntax.name_for(s, pi.chan, "channel")
         binders, inner = syntax._scope(pi.binders, cont, s, False)
         pi = Input(chan, binders)
     elif isinstance(pi, Output):
-        pi = Output(s.name_for(pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
+        pi = Output(syntax.name_for(s, pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
     elif isinstance(pi, Guard):
         pi = Guard(subst_expr(pi.cond, s))
     elif isinstance(pi, Continuous):
-        vars_ = tuple(s.name_for(v, "continuous variable") for v in pi.vars)
+        vars_ = tuple(syntax.name_for(s, v, "continuous variable") for v in pi.vars)
         init = tuple(subst_expr(e, s) for e in pi.init)
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_expr(pi.boundary, s)
-        rdy = frozenset((s.name_for(n, "ready set"), pol) for n, pol in pi.ready)
         binders, inner = syntax._scope(pi.binders, cont, s, False)
-        pi = Continuous(init, vars_, fields, boundary, rdy, binders)
+        pi = Continuous(init, vars_, fields, boundary, pi.ready, binders)
     return pi, eager_substitute(cont, inner)
 
 
@@ -203,7 +201,7 @@ def substitutions(binders, body):
     for i, n in enumerate(free):
         other = free[(i + 1) % len(free)]
         out += [{n: Const(2.0)}, {n: Var(other)}, {n: Var(fresh(n.display))}, {n: Var(other), other: Var(n)}]
-    return [Substitution(m) for m in out if m]
+    return [m for m in out if m]
 
 
 def outcome(rewrite):
@@ -228,7 +226,7 @@ def assert_defers_like_the_eager_rewrite(p):
             if isinstance(lazy, Sum):
                 assert free_names(Sum(lazy.branches, lazy.tag)) == free_names(eager)
             assert alpha_equivalent(lazy, eager)
-            if s.free_in_range().isdisjoint(bound_names(body)):
+            if frozenset().union(*map(syntax.expr_names, s.values())).isdisjoint(bound_names(body)):
                 assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
             checked += 1
     return checked
@@ -250,7 +248,7 @@ def test_deferred_substitution_matches_the_eager_rewrite_on_bundled_models():
 def test_deferred_sum_compares_and_hashes_as_its_built_sum():
     p = parse_term("a(x) . ([x < 1] . b!<x> + [x >= 1] . c!<x + 1>)")
     (pi, body), = p.branches
-    q = substitute(body, Substitution({pi.binders[0]: Const(2.0)}))
+    q = substitute(body, {pi.binders[0]: Const(2.0)})
     assert type(q) is not Sum and not hasattr(q, "_branches")
     assert "b" in {n.display for n in free_names(q)} and not hasattr(q, "_branches")
     built = Sum(q.branches, q.tag)

@@ -5,7 +5,6 @@ from hybridpi.syntax import (
     Input,
     Parallel,
     Restriction,
-    Substitution,
     Sum,
     Var,
     alpha_equivalent,
@@ -55,7 +54,7 @@ def test_substitution_free_name_law():
             continue
         tgt = next(iter(fn))
         repl = fresh("r")
-        q = substitute(p, Substitution({tgt: Var(repl)}))
+        q = substitute(p, {tgt: Var(repl)})
         assert free_names(q) <= (fn - {tgt}) | {repl}
         assert tgt not in free_names(q)
 
@@ -63,8 +62,8 @@ def test_substitution_free_name_law():
 def test_identity_substitution_is_alpha_trivial():
     for text in random_terms(202, 60):
         p = parse_term(text)
-        assert substitute(p, Substitution({})) is p
-        s = Substitution({n: Var(n) for n in free_names(p)})
+        assert substitute(p, {}) is p
+        s = {n: Var(n) for n in free_names(p)}
         assert alpha_equivalent(substitute(p, s), p)
 
 
@@ -73,7 +72,7 @@ def test_capture_avoidance():
     p = parse_term("new x . (y!<1> || x!<0>)")
     other_x = fresh("x")
     (y,) = [n for n in free_names(p) if n.display == "y"]
-    q = substitute(p, Substitution({y: Var(other_x)}))
+    q = substitute(p, {y: Var(other_x)})
     assert other_x in free_names(q)
     assert not alpha_equivalent(p, q)
 
@@ -103,11 +102,11 @@ def test_binder_is_renamed_only_where_a_substituted_name_occurs_under_it():
     v = rx.binders[1]
     assert v.display == "v"
     # `channels` is free where the input sits but not under its binders
-    q = _inputs(substitute(term, Substitution({rx.chan: Var(v)})))[i]
+    q = _inputs(substitute(term, {rx.chan: Var(v)}))[i]
     assert q.chan == v and q.binders == rx.binders
     # `handover` does occur under them, so a v flowing in would be captured
     (handover,) = [n for n in free_names(term) if n.display == "handover"]
-    q = _inputs(substitute(term, Substitution({handover: Var(v)})))[i]
+    q = _inputs(substitute(term, {handover: Var(v)}))[i]
     assert q.chan == rx.chan and q.binders[0] == rx.binders[0] and q.binders[1] != v
 
 
