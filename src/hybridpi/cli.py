@@ -17,17 +17,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import zoo
 from .certificates import automaton_from_json, certificate_from_json, check_certificate
 from .equivalence import (
     approx_bisim,
-    approx_verdict,
     bind_env,
     build_lts,
-    check_scenario,
-    check_tolerances,
     discretize,
     lipschitz_estimate,
     strong_bisim,
@@ -150,12 +146,6 @@ def _load_scenarios(path):
     return out or [None]
 
 
-def _approx_scenario(task):
-    """Worker for --jobs: re-parses both files, checks one scenario."""
-    file_a, file_b, cfg, observe, sc = task
-    return check_scenario(_load_entry(file_a), _load_entry(file_b), cfg, sc, observe)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -219,10 +209,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    check_tolerances(args.eps, args.delta)  # before a pool starts any scenario
     scenarios = _load_scenarios(args.scenarios)
-    # parsed here even when workers re-parse: a ParseError raised in a
-    # worker cannot be unpickled and would break the pool
     p, q = _load_entry(args.file_a), _load_entry(args.file_b)
     # bind_env drops a key that names no free name, so refuse one neither reads
     read = {n.display for n in free_names(p) | free_names(q)}
@@ -230,15 +217,8 @@ def cmd_approx(args) -> int:
         pieces = [sc] if isinstance(sc, dict) else [d for _, d in sc or ()]
         for k in sorted(set().union(*pieces) - read):
             raise HpiError(f"{args.scenarios}: scenario {i}: key {k!r} is read by neither system")
-    cfg = _sim_config(args)
-    observe = tuple(args.observe or ())
-    if args.jobs > 1 and len(scenarios) > 1:
-        tasks = [(args.file_a, args.file_b, cfg, observe, sc) for sc in scenarios]
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            v = approx_verdict(ex.map(_approx_scenario, tasks), args.eps, args.delta, len(scenarios))
-            ex.shutdown(cancel_futures=True)  # scenarios after a refutation go unread
-    else:
-        v = approx_bisim(p, q, args.eps, args.delta, cfg, scenarios=scenarios, observe=observe)
+    v = approx_bisim(p, q, args.eps, args.delta, _sim_config(args), scenarios=scenarios,
+                     observe=tuple(args.observe or ()), jobs=args.jobs)
     report = v.to_dict()
     if args.out:
         with open(args.out, "w") as f:
@@ -379,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True, help="allowed skew on evolution time (s)")
     sp.add_argument("--observe", nargs="+", metavar="VAR", help="variables compared across the two systems")
     sp.add_argument("--scenarios", metavar="FILE.json", help="scenario list (constants or piecewise profiles)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel scenario batches")
+    sp.add_argument("--jobs", type=int, metavar="N",
+                    help="at most N worker processes for the scenarios (default: the usable CPUs)")
     sp.add_argument("--out", metavar="FILE.json")
     _add_sim_flags(sp, run=False)
     sp.set_defaults(fn=cmd_approx)

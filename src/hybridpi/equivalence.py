@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -354,6 +356,19 @@ def approx_verdict(checks, eps: float, delta: float, scenarios: int) -> ApproxVe
     return verdict
 
 
+_INHERITED = None  # a pool worker's (p, q, cfg, scenarios, observe)
+
+
+def _inherit(*inputs) -> None:
+    global _INHERITED
+    _INHERITED = inputs
+
+
+def _check_inherited(i: int) -> dict:
+    p, q, cfg, scenarios, observe = _INHERITED
+    return check_scenario(p, q, cfg, scenarios[i], observe)
+
+
 def approx_bisim(
     p: Process,
     q: Process,
@@ -362,7 +377,37 @@ def approx_bisim(
     cfg: SimConfig,
     scenarios: Sequence = (None,),
     observe: Sequence[str] = (),
+    jobs: Optional[int] = None,
 ) -> ApproxVerdict:
+    """Co-simulate p and q once per scenario and fold the checks.
+
+    The scenarios run in a pool of min(jobs, len(scenarios)) fork-started
+    workers (jobs=None: the usable CPUs), which inherit the inputs through
+    the pool initializer: only a scenario index and check_scenario's dict
+    are pickled, and a worker's error reaches the caller as raised.  An
+    ordered imap feeds approx_verdict, so the first refutation ends the
+    fold and the verdict is the serial one.  No worker outlives the call.
+    The scenarios run in-process when there would be fewer than two
+    workers, when the platform cannot fork, when the caller runs other
+    threads, or when it is itself a daemonic worker."""
+    check_tolerances(eps, delta)
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(scenarios))
+    if workers > 1:
+        import multiprocessing as mp  # here only: most runs never start a pool
+
+        # a fork while another thread holds a lock (say syntax's counter lock) deadlocks the child
+        if "fork" in mp.get_all_start_methods() and threading.active_count() == 1 and not mp.current_process().daemon:
+            pool = mp.get_context("fork").Pool(workers, _inherit, (p, q, cfg, scenarios, observe))
+            try:
+                checks = pool.imap(_check_inherited, range(len(scenarios)), chunksize=1)
+                return approx_verdict(checks, eps, delta, len(scenarios))
+            finally:
+                pool.terminate()
+                pool.join()
     checks = (check_scenario(p, q, cfg, sc, observe) for sc in scenarios)
     return approx_verdict(checks, eps, delta, len(scenarios))
 

@@ -78,8 +78,10 @@ from .syntax import (
 class ParseError(HpiError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")
-        self.line = line
-        self.col = col
+        self.msg, self.line, self.col = msg, line, col
+
+    def __reduce__(self):  # unpickled from a worker process by these arguments
+        return type(self), (self.msg, self.line, self.col)
 
 
 # ---------------------------------------------------------------------------

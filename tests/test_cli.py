@@ -135,6 +135,26 @@ def test_approx_jobs_parse_error_is_model_exit(hpc, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_approx_jobs_below_one_is_model_exit(hpc, capsys, jobs):
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 100};")
+    sc = hpc("sc.json", json.dumps([{}, {}]))
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc,
+                 "--horizon", "1", "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_approx_scenario_error_is_the_same_for_every_jobs_value(hpc, capsys):
+    a, b = hpc("spec.hpc", model_text("spec.hpc")), hpc("system.hpc", model_text("system.hpc"))
+    sc = hpc("sc.json", json.dumps([{"u": 0.0}, {}]))  # scenario 1 leaves system.hpc's u open
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(["approx", a, b, "--eps", "400", "--delta", "1e9", "--observe", "x",
+                     "--scenarios", sc, "--horizon", "30", "--step", "2e-2", "--jobs", jobs]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: variables without a defining cell or environment value: u\n"
+
+
 def test_discretize_emits_runnable_model(hpc, tmp_path):
     f = hpc("cell.hpc", "run {1 | v' = v & v < 99};")
     out = tmp_path / "disc.hpc"

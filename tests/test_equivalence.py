@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 import time
 from unittest import mock
 
@@ -21,10 +24,11 @@ from hybridpi.equivalence import (
     weak_bisim,
 )
 from hybridpi.flows import eval_expr
-from hybridpi.kernel import ContinuousUnsupported
+from hybridpi.kernel import ContinuousUnsupported, OpenSystem
 from hybridpi.parser import parse_term
 from hybridpi.simulator import Environment, simulate
-from hybridpi.syntax import Parallel, Restriction, Replication, Sum, Var, fresh, prune, refresh
+from hybridpi.syntax import HpiError, Parallel, Restriction, Replication, Sum, Var, fresh, prune, refresh
+from hybridpi.zoo import load
 from termgen import random_terms
 
 from conftest import sim_config
@@ -280,3 +284,56 @@ def test_bisim_scales_to_long_counter_chains():
     assert verdicts == {"strong_bisim_bad": False, "weak_bisim_bad": False,
                         "strong_bisim_tau": False, "weak_bisim_tau": True}
     assert elapsed < 10.0
+
+
+def _spec_system_approx(eps, scenarios, **kw):
+    inst = load("spec-system")
+    return approx_bisim(inst.models["spec"].entry, inst.models["system"].entry, eps, 1e9,
+                        sim_config(30.0, 2e-2), scenarios=scenarios, observe=("x",), **kw)
+
+
+@pytest.mark.parametrize("eps, scenarios, status", [
+    (400.0, [{"u": -0.1}, {"u": 0.0}, {"u": 0.1}], "consistent"),
+    (40.0, [{"u": 0.0}, {"u": 0.1}, {"u": -0.1}, {"u": 0.05}], "refuted"),  # ends the fold at 1
+])
+def test_approx_pool_gives_the_serial_verdict_and_leaves_no_process(eps, scenarios, status):
+    serial = _spec_system_approx(eps, scenarios, jobs=1).to_dict()
+    default = _spec_system_approx(eps, scenarios).to_dict()
+    pooled = _spec_system_approx(eps, scenarios, jobs=len(scenarios))
+    assert not multiprocessing.active_children()
+    assert pooled.to_dict() == serial == default
+    assert pooled.status == status
+    if status == "refuted":
+        assert pooled.counterexample["scenario"] == 1 and len(pooled.per_scenario) == 2
+
+
+def test_approx_pool_raises_the_serial_error_and_leaves_no_process():
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(HpiError) as e:
+            _spec_system_approx(400.0, [{"u": 0.0}, {}], jobs=jobs)  # system.hpc reads u
+        errors.append((type(e.value), str(e.value)))
+        assert not multiprocessing.active_children()
+    assert errors[0] == errors[1] == (OpenSystem, "variables without a defining cell or environment value: u")
+
+
+def test_approx_pool_runs_the_scenarios_in_workers_unless_threads_run():
+    def where(*_):
+        return {"skew": 0.0, "distance": float(os.getpid()), "variable": "x"}
+
+    def pids(jobs):
+        with mock.patch.object(equivalence, "check_scenario", where):
+            v = approx_bisim(NIL, NIL, math.inf, 0.0, sim_config(1.0), scenarios=[None] * 4, jobs=jobs)
+        return {s["distance"] for s in v.per_scenario}
+
+    assert os.getpid() not in pids(2)
+    assert pids(1) == {os.getpid()}
+    release = threading.Event()
+    t = threading.Thread(target=release.wait)
+    t.start()
+    try:
+        assert pids(2) == {os.getpid()}  # forking beside a running thread is unsafe
+    finally:
+        release.set()
+        t.join(timeout=10)
+    assert not t.is_alive()
