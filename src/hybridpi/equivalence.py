@@ -356,7 +356,7 @@ def approx_verdict(checks, eps: float, delta: float, scenarios: int) -> ApproxVe
     return verdict
 
 
-_INHERITED = None  # a pool worker's (p, q, cfg, scenarios, observe)
+_INHERITED = None  # a pool worker's (p, q, cfg, scenarios, observe, started)
 
 
 def _inherit(*inputs) -> None:
@@ -365,8 +365,28 @@ def _inherit(*inputs) -> None:
 
 
 def _check_inherited(i: int) -> dict:
-    p, q, cfg, scenarios, observe = _INHERITED
+    p, q, cfg, scenarios, observe, started = _INHERITED
+    started[i] = os.getpid()
     return check_scenario(p, q, cfg, scenarios[i], observe)
+
+
+def _pooled_checks(pool, n: int, started):
+    """The checks of scenarios 0..n-1 in order.  A pool replaces a dead
+    worker without a word, so while a check is awaited a dead first worker
+    raises, naming the last scenario it started (`started`: pid by index)."""
+    import multiprocessing as mp
+
+    workers, checks = list(pool._pool), pool.imap(_check_inherited, range(n), chunksize=1)
+    for i in range(n):
+        while True:
+            try:
+                yield checks.next(timeout=0.1)
+                break
+            except mp.TimeoutError:
+                for w in workers:
+                    if w.exitcode is not None:
+                        lost = max((j for j in range(n) if started[j] == w.pid), default=i)
+                        raise HpiError(f"scenario {lost}: its worker process ended with exit code {w.exitcode}") from None
 
 
 def approx_bisim(
@@ -386,7 +406,8 @@ def approx_bisim(
     the pool initializer: only a scenario index and check_scenario's dict
     are pickled, and a worker's error reaches the caller as raised.  An
     ordered imap feeds approx_verdict, so the first refutation ends the
-    fold and the verdict is the serial one.  No worker outlives the call.
+    fold and the verdict is the serial one.  A worker that dies raises an
+    HpiError naming its scenario, and no worker outlives the call.
     The scenarios run in-process when there would be fewer than two
     workers, when the platform cannot fork, when the caller runs other
     threads, or when it is itself a daemonic worker."""
@@ -401,10 +422,10 @@ def approx_bisim(
 
         # a fork while another thread holds a lock (say syntax's counter lock) deadlocks the child
         if "fork" in mp.get_all_start_methods() and threading.active_count() == 1 and not mp.current_process().daemon:
-            pool = mp.get_context("fork").Pool(workers, _inherit, (p, q, cfg, scenarios, observe))
+            started = mp.RawArray("q", len(scenarios))  # shared memory, inherited by the fork
+            pool = mp.get_context("fork").Pool(workers, _inherit, (p, q, cfg, scenarios, observe, started))
             try:
-                checks = pool.imap(_check_inherited, range(len(scenarios)), chunksize=1)
-                return approx_verdict(checks, eps, delta, len(scenarios))
+                return approx_verdict(_pooled_checks(pool, len(scenarios), started), eps, delta, len(scenarios))
             finally:
                 pool.terminate()
                 pool.join()

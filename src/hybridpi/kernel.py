@@ -11,12 +11,12 @@ its agent at the root is built only when read (the simulator reads the
 one move it commits): a loop walks the move's path down from the root by
 index, then lifts its agent back up through the parallels and restrictions
 passed.  A replication's copy is the memoised moves of its body under a
-fresh unfold stamp; the copy is refreshed and stamped only when one of
-its moves is committed or inspected.  Continuous evolution
-integrates every active ODE cell jointly, as one system, with fixed-step
-RK4 and localizes boundary crossings by bisection; a step reports its
-duration, the ready set, the pruned successor, the cells that stopped and
-the joint flow of every cell variable.  The system's RK4 stepper is
+fresh unfold stamp, refreshed when one of its moves is committed or
+inspected; the refresh renews only the sums a run goes on to read.
+Continuous evolution integrates every active ODE cell jointly, as one system,
+with fixed-step RK4 and localizes boundary crossings by bisection; a step
+reports its duration, the ready set, the pruned successor, the cells that
+stopped and the joint flow of every cell variable.  The system's stepper is
 compiled once per shape: the generated source of its fields and
 boundaries, over positional state, environment and constant parameters,
 is the key of the stepper cache.  The walk that generates that source is
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from . import flows as fl
@@ -205,10 +206,17 @@ def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent
 
 @dataclass
 class Enumeration:
-    transitions: list = field(default_factory=list)
+    frame: Optional[_Frame] = None  # the root's: its moves, shared with the nodes below
     diagnostics: list = field(default_factory=list)
     truncated: bool = False
     counter: list = field(default_factory=lambda: [0])  # replication unfold stamps
+
+    @cached_property
+    def transitions(self) -> list:  # a view per root move, its agent lifted when read
+        return [_pending(t, _agent_at, (self.frame, i)) for i, t in enumerate(self.frame.moves)]
+
+    def agent(self, i: int) -> Agent:  # root move i's agent, lifted without a view
+        return _agent_at(self.frame, i)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +418,7 @@ def _copy(p: Replication, depth: int, res: Enumeration) -> _Frame:
     base = _trans(p.body, depth, res)
     diags, res.diagnostics = res.diagnostics, outer
     res.diagnostics += [(kind, f"{tag}{suffix}" if tag else tag) for kind, tag in diags]
-    tags = [tuple(g + suffix for g in t.tags) for t in base.moves]
-    return _Frame([_pending(t, _stamp_agent, (base, i, suffix), tags[i]) for i, t in enumerate(base.moves)])
+    return _Frame([_pending(t, _stamp_agent, (base, i, suffix), tuple(g + suffix for g in t.tags)) for i, t in enumerate(base.moves)])
 
 
 def _trans_inner(p: Process, depth: int, res: Enumeration) -> _Frame:
@@ -462,8 +469,7 @@ def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = 
     res = Enumeration()
     if counter is not None:
         res.counter = counter
-    f = _trans(p, depth, res)
-    res.transitions = [_pending(t, _agent_at, (f, i)) for i, t in enumerate(f.moves)]
+    res.frame = _trans(p, depth, res)
     return res
 
 

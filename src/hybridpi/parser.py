@@ -48,6 +48,7 @@ from .syntax import (
     Guard,
     HpiError,
     Input,
+    MAX_DEPTH,
     Name,
     NIL,
     Op,
@@ -67,6 +68,7 @@ from .syntax import (
     b_le,
     b_ne,
     b_or,
+    depth,
     free_names,
     fresh,
     is_nil,
@@ -306,6 +308,8 @@ class _Parser:
                 m.entry = self.parse_process()
                 self.scope.pop()
                 self.eat(";")
+                if depth(m.entry) > MAX_DEPTH:
+                    raise ParseError(f"process nested {depth(m.entry)} levels deep; at most {MAX_DEPTH} are allowed", t.line, t.col)
             else:
                 self.fail("expected const, def, or run")
         m.constants = dict(self.consts)

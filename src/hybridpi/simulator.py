@@ -173,9 +173,10 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
         if enum.truncated:
             enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={REPL_DEPTH}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
-        taus = [tr for tr in enum.transitions if tr.shape is Proc]
+        taus = [i for i, tr in enumerate(enum.frame.moves) if tr.shape is Proc]
         if taus:
-            tr = taus[0] if rng is None else taus[int(rng.integers(len(taus)))]
+            i = taus[0] if rng is None else taus[int(rng.integers(len(taus)))]
+            tr = enum.frame.moves[i]
             kind = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}[tr.kind]
             ev = TraceEvent(
                 t,
@@ -185,7 +186,7 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
                 list(tr.tags),
             )
             overflow = note_discrete(ev)
-            p = _peel(prune(tr.agent.body), names, hidden)
+            p = _peel(prune(enum.agent(i).body), names, hidden)  # the one move lifted to the root
             if overflow:
                 status = "zeno"
                 break

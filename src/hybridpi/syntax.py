@@ -18,15 +18,15 @@ a plain dict from names to expressions.  One walker, ``_rewrite`` with its
 one scope rule ``_scope``, rewrites under all three binders: ``substitute``
 applies a substitution capture-avoidingly, and ``refresh`` renames every
 binder, stamps every tag and applies an optional substitution in a single
-pass (replication unfolding and definition instances).  ``substitute``
-defers the sums it reaches, in the manner of explicit substitutions: a sum
-whose name slots the substitution leaves alone comes back as a deferred
-sum, which keeps the source sum and the substitution and builds its
-branches when they are first read.  So a received value costs nothing in
-the branches a run never takes, while a sum that would put a non-name in a
-name slot is built, and fails, at once.  A deferred sum's free names come
-from its source.  ``refresh`` stays eager, so its fresh names and stamps
-are drawn in one fixed order.
+pass (replication unfolding and definition instances).  Both defer the
+sums they reach, as explicit substitutions do, under one rule: a non-empty
+sum comes back deferred, to build its branches when first read, unless
+building it could raise (a name slot sent to a non-name, or slots renamed
+non-injectively or onto another slot).  So a received value, a passed
+channel or a renewed binder costs nothing in branches a run never takes,
+while a sum that would fail fails at the call.  Fresh names are drawn as
+sums are built, so their order follows a run's reads, which only ``repr``
+(name ids) shows.  The parser nests processes at most ``MAX_DEPTH`` deep.
 
 Derived facts (free names, enumerations, structural flags, a deferred
 sum's branches) are memoised on each node itself, so a node must never be
@@ -76,10 +76,6 @@ def fresh(display: str) -> Name:
     """Mint a name with a session-unique id."""
     with _counter_lock:
         return Name(next(_counter), display)
-
-
-def fresh_like(n: Name) -> Name:
-    return fresh(n.display)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ NIL = Sum(())
 
 
 def is_nil(p: Process) -> bool:
-    # a deferred sum is never empty: substitute returns an empty sum itself
+    # a deferred sum is never empty: a rewrite returns an empty sum itself
     return type(p) is Sum and not p.branches
 
 
@@ -364,14 +360,25 @@ def _constructs(p: Process) -> frozenset:
     return frozenset(out)
 
 
+MAX_DEPTH = 256  # levels a parsed process may nest; _rewrite takes 3 frames a level
+
+
+def depth(p: Process) -> int:
+    """The levels p nests (root 1); a deferred sum nests as its source."""
+    deepest, todo = 0, [(p, 1)]
+    while todo:
+        q, d = todo.pop()
+        while isinstance(q, _Deferred):
+            q = q.src
+        deepest = max(deepest, d)
+        kids = [c for _, c in q.branches] if isinstance(q, Sum) else (q.left, q.right) if isinstance(q, Parallel) else (q.body,)
+        todo += [(c, d + 1) for c in kids]
+    return deepest
+
+
 # ---------------------------------------------------------------------------
 # Free names
 # ---------------------------------------------------------------------------
-
-
-def prefix_free_names(pi: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]:
-    names, values, binders = slots(pi)
-    return cont_free.difference(binders).union(names, *map(expr_names, values))
 
 
 def free_names(p: Process) -> frozenset[Name]:
@@ -388,7 +395,8 @@ def _free_names(p: Process) -> frozenset[Name]:
     if isinstance(p, Sum):
         out: frozenset[Name] = frozenset()
         for pi, cont in p.branches:
-            out |= prefix_free_names(pi, free_names(cont))
+            names, values, binders = slots(pi)
+            out |= free_names(cont).difference(binders).union(names, *map(expr_names, values))
         return out
     if isinstance(p, Restriction):
         return free_names(p.body) - {p.name}
@@ -407,8 +415,8 @@ def name_slots(p: Process) -> frozenset[Name]:
 
 
 def _name_slots(p: Process) -> frozenset[Name]:
-    if isinstance(p, _Deferred):
-        return name_slots(p.src)  # its substitution maps none of them
+    if isinstance(p, _Deferred):  # its substitution renames them, if at all
+        return frozenset([p.sub[n].name if n in p.sub else n for n in name_slots(p.src)])
     if isinstance(p, Sum):
         out = set()
         for pi, cont in p.branches:
@@ -451,7 +459,7 @@ def rename_apart(names: tuple, avoid: frozenset):
     """Capture-avoiding renaming: `names` with each member of `avoid`
     replaced by a fresh name, drawn in order, and that renaming as a
     substitution (empty when nothing clashes)."""
-    ren = {n: fresh_like(n) for n in names if n in avoid}
+    ren = {n: fresh(n.display) for n in names if n in avoid}
     if not ren:
         return names, ren
     return tuple(ren.get(n, n) for n in names), {k: Var(v) for k, v in ren.items()}
@@ -464,7 +472,7 @@ def _scope(binders: tuple, body: Process, s: dict, renew: bool):
     binder is renamed only where a name in the range of an entry of s whose
     key is free in body would be captured."""
     if renew:
-        new = tuple(map(fresh_like, binders))
+        new = tuple(fresh(b.display) for b in binders)
         inner = dict(s)
         inner.update(zip(binders, map(Var, new)))
         return new, inner
@@ -480,20 +488,21 @@ def _scope(binders: tuple, body: Process, s: dict, renew: bool):
 def _rewrite(p: Process, s: dict, renew: bool, suffix: Optional[str]) -> Process:
     """The one binder-aware walker: p with s applied to its free names,
     capture-avoiding.  When renewing, every binder also gets a fresh name
-    and every tag the suffix.  Without renewal, a sum whose name slots s
-    does not map is deferred: its branches are rewritten when first read.
-    Fresh names are drawn depth first, a prefix's binders before its
-    continuation; a deferred sum draws its branches' renames when it is
-    built."""
+    and every tag the suffix.  A non-empty sum is deferred (see _Deferred)
+    unless building it could raise, so errors raise at the call.  Fresh
+    names are drawn depth first, a prefix's binders before its
+    continuation, as each sum is built."""
     # without renewal an untouched subtree comes back as the same object,
     # keeping its memos warm across transitions
     if not renew and (not s or free_names(p).isdisjoint(s)):
         return p
     if isinstance(p, Sum):
-        # else built now, so that a non-name in a name slot raises here
-        if not renew and name_slots(p).isdisjoint(s):
-            return _Deferred(p, s)
         tag = p.tag if suffix is None else (f"{p.tag}{suffix}" if p.tag else None)
+        # building raises where s sends a slot to a non-name, two to one, or one onto another
+        slots_ = name_slots(p)
+        to = [s[n] for n in slots_ if n in s]
+        if not is_nil(p) and (not to or len({v.name for v in to if isinstance(v, Var)} - slots_) == len(to)):
+            return _Deferred(p, s, renew, suffix, tag)
         return Sum(tuple(_rewrite_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
     if isinstance(p, Restriction):
         (name,), inner = _scope((p.name,), p.body, s, renew)
@@ -520,18 +529,17 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: dict, renew: bool, suffix: Opt
 
 
 class _Deferred(Sum):
-    """``substitute(src, s)`` for a sum src whose name slots s does not map:
-    its branches are rewritten from src's when first read, and kept as a
-    memo.  Nothing mutates s once a rewrite has it: ``substitute`` takes a
-    copy, and ``_scope`` completes each substitution it makes before
-    returning it.  Its free names, name slots and constructs come from src
-    without building it, and it compares, hashes and prints as the Sum it
-    stands for."""
+    """``_rewrite(src, s, renew, suffix)`` for a sum src that building cannot
+    fail on: its tag is stamped at once, its branches are rewritten from
+    src's when first read, and kept as a memo.  Nothing mutates s once a
+    rewrite has it: ``substitute`` and ``refresh`` take a copy, and
+    ``_scope`` completes each substitution it makes before returning it.
+    Its free names, name slots and constructs come from src without
+    building it, and it compares, hashes and prints as the Sum it stands
+    for."""
 
-    def __init__(self, src: Sum, s: dict):
-        self.tag = src.tag
-        self.src = src
-        self.sub = s
+    def __init__(self, src: Sum, s: dict, renew: bool, suffix: Optional[str], tag: Optional[str]):
+        self.tag, self.src, self.sub, self.renew, self.suffix = tag, src, s, renew, suffix
 
     @property
     def branches(self) -> tuple:
@@ -542,13 +550,13 @@ class _Deferred(Sum):
 
 
 def _build(p: _Deferred) -> tuple:
-    return tuple(_rewrite_branch(pi, cont, p.sub, False, None) for pi, cont in p.src.branches)
+    return tuple(_rewrite_branch(pi, cont, p.sub, p.renew, p.suffix) for pi, cont in p.src.branches)
 
 
 def substitute(p: Process, s: dict) -> Process:
     """p with s applied to its free names; a bound name that a name in s's
-    range would be captured by is renamed to a fresh one.  Sums that s
-    touches only in value positions come back deferred (see _Deferred)."""
+    range would be captured by is renamed to a fresh one.  Sums that
+    building cannot fail on come back deferred (see _rewrite)."""
     return _rewrite(p, dict(s), False, None)
 
 
@@ -558,8 +566,8 @@ def refresh(p: Process, suffix: Optional[str] = None, s: Optional[dict] = None) 
     bodies included, and applies ``s`` to the free names.  The stamp keeps
     the events of one unfolded copy or inlined instance apart (a copy
     spawned inside copy #k carries #k#m); a definition instance is
-    ``refresh(body, "@k", params -> args)``."""
-    return _rewrite(p, s or {}, True, suffix)
+    ``refresh(body, "@k", params -> args)``; it defers sums as substitute does."""
+    return _rewrite(p, dict(s) if s else {}, True, suffix)
 
 
 # ---------------------------------------------------------------------------

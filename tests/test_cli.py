@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from hybridpi.cli import main
+from hybridpi.syntax import MAX_DEPTH
 from hybridpi.zoo import list_models, model_text
 
 
@@ -238,6 +240,17 @@ def test_deep_term_is_model_exit_not_a_traceback(hpc, capsys):
     assert main(["simulate", f, "--horizon", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_deep_term_is_refused_whatever_the_recursion_limit(hpc, capsys):
+    f = hpc("deep.hpc", "run " + "tau . " * 600 + "0;")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        assert main(["simulate", f, "--horizon", "1"]) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err == f"error: 1:1: process nested 601 levels deep; at most {MAX_DEPTH} are allowed\n"
 
 
 def test_simulate_prints_diagnostics_as_warnings(hpc, capsys):

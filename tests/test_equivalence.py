@@ -1,6 +1,10 @@
+import json
 import math
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 import threading
 import time
 from unittest import mock
@@ -315,6 +319,56 @@ def test_approx_pool_raises_the_serial_error_and_leaves_no_process():
         errors.append((type(e.value), str(e.value)))
         assert not multiprocessing.active_children()
     assert errors[0] == errors[1] == (OpenSystem, "variables without a defining cell or environment value: u")
+
+
+DYING_WORKERS = """
+import json, multiprocessing, os, sys, time
+from hybridpi import equivalence
+from hybridpi.cli import main
+from hybridpi.kernel import IntegratorConfig
+from hybridpi.simulator import SimConfig
+from hybridpi.zoo import load
+
+real = equivalence.check_scenario
+
+def die(p, q, cfg, sc, observe):
+    os._exit(9)
+
+out = []
+models = load("spec-system").models
+equivalence.check_scenario = die
+start = time.perf_counter()
+try:
+    equivalence.approx_bisim(models["spec"].entry, models["system"].entry, 400, 1e9,
+                             SimConfig(30.0, IntegratorConfig(2e-2)), scenarios=[{"u": 0.0}] * 3, jobs=2)
+except equivalence.HpiError as e:
+    out.append([str(e), time.perf_counter() - start])
+# through the CLI, with only scenario 1 dying
+equivalence.check_scenario = lambda p, q, cfg, sc, observe: (die if sc["u"] else real)(p, q, cfg, sc, observe)
+files = os.path.join(os.path.dirname(equivalence.__file__), "models")
+start = time.perf_counter()
+rc = main(["approx", f"{files}/spec.hpc", f"{files}/system.hpc", "--eps", "400", "--delta", "1e9",
+           "--observe", "x", "--horizon", "30", "--scenarios", sys.argv[1], "--jobs", "2"])
+out.append([rc, time.perf_counter() - start])
+out.append(multiprocessing.active_children())
+print(json.dumps(out))
+"""
+
+
+def test_approx_pool_names_the_scenario_of_a_dying_worker(tmp_path):
+    # a pool replaces a dead worker without reporting its scenario; the
+    # check must raise instead of waiting for good, hence the timeout
+    scenarios = tmp_path / "sc.json"
+    scenarios.write_text('[{"u": 0.0}, {"u": 0.1}, {"u": 0.0}]')
+    src = os.path.dirname(os.path.dirname(equivalence.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", DYING_WORKERS, str(scenarios)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    (message, took), (rc, cli_took), left = json.loads(done.stdout)
+    assert re.fullmatch(r"scenario [0-2]: its worker process ended with exit code 9", message)
+    assert rc == 3 and done.stderr == "error: scenario 1: its worker process ended with exit code 9\n"
+    assert took < 5 and cli_took < 5 and left == []
 
 
 def test_approx_pool_runs_the_scenarios_in_workers_unless_threads_run():

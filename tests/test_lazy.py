@@ -10,7 +10,7 @@ from collections import namedtuple
 
 import pytest
 
-from hybridpi import kernel
+from hybridpi import kernel, simulator
 from hybridpi.kernel import Abstraction, Concretion, Enumeration, Proc, discrete_transitions
 from hybridpi.parser import parse_term
 from hybridpi.simulator import SimConfig, simulate
@@ -278,3 +278,14 @@ def test_moves_are_lifted_from_what_their_enumeration_saw():
     at_once = discrete_transitions(refresh(root), 64, counter=[0]).transitions
     assert [t.tags for t in first.transitions] == [t.tags for t in at_once]
     assert [comparable(t.agent) for t in first.transitions] == [comparable(t.agent) for t in at_once]
+
+
+def test_simulate_builds_a_view_only_of_the_move_it_commits(monkeypatch):
+    # simulate chooses among the root frame's silent moves and lifts the one
+    # it commits, so no enumeration makes its list of root views
+    enums = []
+    real = simulator.discrete_transitions
+    monkeypatch.setattr(simulator, "discrete_transitions", lambda *a, **kw: enums.append(real(*a, **kw)) or enums[-1])
+    res = simulate(load("handover-network").main.entry, SimConfig(horizon=2.0))
+    assert res.status == "horizon" and len(enums) > 10
+    assert not any("transitions" in vars(e) for e in enums)

@@ -14,9 +14,11 @@ from hybridpi.syntax import (
     Parallel,
     Replication,
     Restriction,
+    MAX_DEPTH,
     Sum,
     alpha_equivalent,
     canonical_key,
+    depth,
     free_names,
 )
 from hybridpi.zoo import list_models, model_text
@@ -206,3 +208,15 @@ def test_non_finite_constants_print_without_crashing():
         p = Sum(((Output(out.chan, (Const(value), Op("-", (Const(1.0), Const(value))))), NIL),))
         shown = f"({text})" if value < 0 else text
         assert pretty(p) == f"c!<{text}, 1 - {shown}>"
+
+
+def test_nesting_is_bounded_at_parse_time():
+    # the root is level 1 and each sum, parallel, new or repl adds one (a!<>
+    # is two: a sum and its 0); a definition instance, its sums deferred,
+    # nests as its body
+    assert depth(parse_term("tau . " * (MAX_DEPTH - 1) + "0")) == MAX_DEPTH
+    assert depth(parse_term("a!<> || " * (MAX_DEPTH - 2) + "0")) == MAX_DEPTH
+    deep = "def f = " + "tau . " * MAX_DEPTH + "0;"
+    for text, prelude in [("tau . " * MAX_DEPTH + "0", ""), ("a!<> || " * (MAX_DEPTH - 1) + "0", ""), ("f", deep)]:
+        with pytest.raises(ParseError, match=f"^2:1: process nested {MAX_DEPTH + 1} levels deep; at most {MAX_DEPTH} are allowed$"):
+            parse_term(text, prelude=prelude)

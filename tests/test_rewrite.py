@@ -2,8 +2,9 @@
 instances, on what discrete generated terms do not reach: cell binders,
 cell variables and ready names, and substitutions that must fail.
 
-Substitution defers the sums it reaches; it is checked against the eager
-rewrite it replaces, which rebuilds every branch at once."""
+Substitution and renewal defer the sums they reach; they are checked
+against the eager rewrite they replace, which rebuilds every branch at
+once."""
 
 import pytest
 
@@ -118,25 +119,31 @@ def test_one_pass_instance_equals_refresh_then_substitute():
 # -- deferred sums against the eager rewrite ---------------------------------
 
 
-def eager_substitute(p, s):
-    """substitute as it was before sums were deferred."""
-    if not s or free_names(p).isdisjoint(s):
+def eager_substitute(p, s, renew=False, suffix=None):
+    """substitute (and, renewing, refresh) as it was before sums were
+    deferred."""
+    if not renew and (not s or free_names(p).isdisjoint(s)):
         return p
     if isinstance(p, Sum):
-        return Sum(tuple(eager_branch(pi, cont, s) for pi, cont in p.branches), tag=p.tag)
+        tag = p.tag if suffix is None else (p.tag + suffix if p.tag else None)
+        return Sum(tuple(eager_branch(pi, cont, s, renew, suffix) for pi, cont in p.branches), tag=tag)
     if isinstance(p, Restriction):
-        (name,), inner = syntax._scope((p.name,), p.body, s, False)
-        return Restriction(name, eager_substitute(p.body, inner))
+        (name,), inner = syntax._scope((p.name,), p.body, s, renew)
+        return Restriction(name, eager_substitute(p.body, inner, renew, suffix))
     if isinstance(p, Parallel):
-        return Parallel(eager_substitute(p.left, s), eager_substitute(p.right, s))
-    return Replication(eager_substitute(p.body, s))
+        return Parallel(eager_substitute(p.left, s, renew, suffix), eager_substitute(p.right, s, renew, suffix))
+    return Replication(eager_substitute(p.body, s, renew, suffix))
 
 
-def eager_branch(pi, cont, s):
+def eager_refresh(p, suffix, s):
+    return eager_substitute(p, dict(s), True, suffix)
+
+
+def eager_branch(pi, cont, s, renew, suffix):
     inner = s
     if isinstance(pi, Input):
         chan = syntax.name_for(s, pi.chan, "channel")
-        binders, inner = syntax._scope(pi.binders, cont, s, False)
+        binders, inner = syntax._scope(pi.binders, cont, s, renew)
         pi = Input(chan, binders)
     elif isinstance(pi, Output):
         pi = Output(syntax.name_for(s, pi.chan, "channel"), tuple(subst_expr(e, s) for e in pi.payload))
@@ -147,9 +154,9 @@ def eager_branch(pi, cont, s):
         init = tuple(subst_expr(e, s) for e in pi.init)
         fields = tuple(subst_expr(e, s) for e in pi.fields)
         boundary = subst_expr(pi.boundary, s)
-        binders, inner = syntax._scope(pi.binders, cont, s, False)
+        binders, inner = syntax._scope(pi.binders, cont, s, renew)
         pi = Continuous(init, vars_, fields, boundary, pi.ready, binders)
-    return pi, eager_substitute(cont, inner)
+    return pi, eager_substitute(cont, inner, renew, suffix)
 
 
 def bodies(p):
@@ -215,7 +222,9 @@ def outcome(rewrite):
 def assert_defers_like_the_eager_rewrite(p):
     checked = 0
     for binders, body in bodies(p):
+        checked += assert_renews_like_the_eager_refresh(binders, body, {})
         for s in substitutions(binders, body):
+            checked += assert_renews_like_the_eager_refresh(binders, body, s)
             lazy, lazy_error = outcome(lambda: substitute(body, s))
             eager, eager_error = outcome(lambda: eager_substitute(body, s))
             assert lazy_error == eager_error
@@ -230,6 +239,23 @@ def assert_defers_like_the_eager_rewrite(p):
                 assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
             checked += 1
     return checked
+
+
+def assert_renews_like_the_eager_refresh(binders, body, s):
+    """refresh(body, suffix, s), with body's own binders renamed apart as a
+    replication copy's agent has them, against the eager refresh: the same
+    error at the call, or the same term and tags once built."""
+    _, ren = syntax.rename_apart(binders, frozenset(binders))
+    s = {**s, **{b: v for b, v in ren.items() if b not in s}}
+    lazy, lazy_error = outcome(lambda: refresh(body, "#5", s))
+    eager, eager_error = outcome(lambda: eager_refresh(body, "#5", s))
+    assert lazy_error == eager_error
+    if eager_error:
+        return 0
+    assert free_names(lazy) == free_names(eager)
+    assert canonical_key(lazy) == canonical_key(eager)
+    assert tags(lazy) == tags(eager)
+    return 1
 
 
 @pytest.mark.parametrize("repl", [False, True])
@@ -287,3 +313,50 @@ def test_spec_system_leaves_the_handover_branch_unbuilt(monkeypatch):
                 handovers.append(cont)
     assert len(handovers) == 2  # the syncs at t = 0 and t = 1
     assert not any(hasattr(cont, "_branches") for cont in handovers)
+
+
+@pytest.mark.parametrize("text", ["{0, 1 | x' = 1, y' = 2}", "tau . a(z) . {0, 1 | x' = 1, y' = 2}"])
+def test_two_cell_variables_renamed_to_one_raise_at_the_call(text):
+    p = parse_term(text)
+    x, y = by_display(p)["x"], by_display(p)["y"]
+    z = fresh("z")
+    for s in ({x: Var(z), y: Var(z)}, {x: Var(y)}):
+        for rewrite in (lambda: substitute(p, s), lambda: refresh(p, "#1", s)):
+            with pytest.raises(ValueError, match="continuous variables must be pairwise distinct"):
+                rewrite()
+    # a renaming onto two names that are not slots of p defers, and builds
+    q = refresh(p, "#1", {x: Var(z), y: Var(fresh("w"))})
+    assert isinstance(q, syntax._Deferred) and canonical_key(q)
+
+
+def test_network_run_leaves_the_far_sectors_control_loops_unbuilt(monkeypatch):
+    # 10 s of handover-network: the train stays in sector 0, so sectors 1
+    # and 2 never receive on their chin; their control loops, everything
+    # after that input (run:42:35 onward), must stay unbuilt
+    built = []  # the tag of every sum built, at once or deferred
+    init, build = Sum.__init__, syntax._build
+
+    def recording_init(self, branches, tag=None):
+        built.append(tag)
+        init(self, branches, tag)
+
+    def recording_build(p):
+        built.append(p.tag)
+        return build(p)
+
+    monkeypatch.setattr(Sum, "__init__", recording_init)
+    monkeypatch.setattr(syntax, "_build", recording_build)
+    res = simulate(load("handover-network").main.entry, SimConfig(horizon=10.0, integrator=IntegratorConfig(step=1e-2)))
+    monkeypatch.undo()
+    assert res.status == "horizon"
+    # each sector's copy stamp, from the sync with its sec!<...> (lines 25-27)
+    stamp = {}
+    for ev in res.trace:
+        if ev.kind == "Sync" and ev.chan == "sec":
+            (out,), (copy,) = [t for t in ev.provenance if t.startswith("run:2")], [t for t in ev.provenance if t.startswith("run:38")]
+            stamp[int(out.split(":")[1]) - 25] = copy.split("#")[1]
+    assert len(stamp) == 3 and len(set(stamp.values())) == 3
+    read = {"run:40:14", "run:41:mu-call", "run:41:mu-body", "run:42:16"}  # up to the chin input
+    by_sector = {i: {t.split("#")[0] for t in built if t and t.split("#")[1:2] == [k]} for i, k in stamp.items()}
+    assert "run:42:35" in by_sector[0] and any(t.startswith("drive:") for t in by_sector[0])
+    assert by_sector[1] <= read and by_sector[2] <= read
