@@ -90,6 +90,13 @@ def _env_pairs(pairs):
     return out
 
 
+def _refuse_unread(keys, procs, where: str, readers: str):
+    """Refuse the first sorted key that no free name of procs reads (bind_env would drop it)."""
+    unread = sorted(set(keys) - {n.display for p in procs for n in free_names(p)})
+    if unread:
+        raise HpiError(f"{where}: key {unread[0]!r} is read by {readers}")
+
+
 def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
     horizon = args.horizon if args.horizon is not None else (entry.horizon if entry else 10.0)
     step = args.step if args.step is not None else (entry.step if entry else 1e-3)
@@ -104,7 +111,9 @@ def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
 def _run(args, p, entry: zoo.ModelEntry = None) -> int:
     """Simulate p, write the artifacts asked for, report on standard error."""
     cfg = _sim_config(args, entry)
-    res = simulate(p, cfg, bind_env(p, _env_pairs(args.env) or (entry.env if entry else None)))
+    env = _env_pairs(args.env)
+    _refuse_unread(env, (p,), "--env", "no name of the model")
+    res = simulate(p, cfg, bind_env(p, env or (entry.env if entry else None)))
     if args.out_trace:
         with open(args.out_trace, "w") as f:
             f.write(trace_to_jsonl(res.trace))
@@ -211,12 +220,9 @@ def cmd_bisim(args) -> int:
 def cmd_approx(args) -> int:
     scenarios = _load_scenarios(args.scenarios)
     p, q = _load_entry(args.file_a), _load_entry(args.file_b)
-    # bind_env drops a key that names no free name, so refuse one neither reads
-    read = {n.display for n in free_names(p) | free_names(q)}
     for i, sc in enumerate(scenarios):
         pieces = [sc] if isinstance(sc, dict) else [d for _, d in sc or ()]
-        for k in sorted(set().union(*pieces) - read):
-            raise HpiError(f"{args.scenarios}: scenario {i}: key {k!r} is read by neither system")
+        _refuse_unread(set().union(*pieces), (p, q), f"{args.scenarios}: scenario {i}", "neither system")
     v = approx_bisim(p, q, args.eps, args.delta, _sim_config(args), scenarios=scenarios,
                      observe=tuple(args.observe or ()), jobs=args.jobs)
     report = v.to_dict()

@@ -3,9 +3,10 @@
 Discrete transitions take a process to an agent, and the agent's type is
 the move's label (Milner's commitments): a process after a silent move, an
 abstraction awaiting values after an input on the transition's channel, a
-concretion carrying values after an output on it.  A node's enumeration
-lists its children's moves, the same objects, then its own syncs; a
-restriction drops the moves on its names.  A move names its kind,
+concretion carrying values after an output on it.  A node's enumeration,
+a value memoised on the node, lists its children's moves, the same
+objects, then its own syncs, and carries their diagnostics and truncation
+merged; a restriction drops the moves on its names.  A move names its kind,
 channel, payload, tags and shape (the agent's class) where it is made, and
 its agent at the root is built only when read (the simulator reads the
 one move it commits): a loop walks the move's path down from the root by
@@ -64,6 +65,7 @@ from .syntax import (
     refresh,
     rename_apart,
     restrict,
+    shape,
     subst_expr,
     substitute,
 )
@@ -165,18 +167,26 @@ def _pending(t: Transition, make, args: tuple, tags: Optional[tuple] = None) -> 
 
 @dataclass(slots=True, eq=False)
 class _Frame:
-    """What one enumeration of a node saw: its moves in order and the frames
-    of the children they came from.  A frame without kids made its moves (a
-    sum's, a copy's, a replication's).  A parallel's lists its left's, its
-    right's, then its syncs, and `x` holds its two sides (not the node: a
-    memo that points back at its node is a cycle, freed only by the cyclic
-    collector).  A restriction chain's lists its body's moves on none of
-    its names, and `x` holds the names and the body indices kept (None
-    when all)."""
+    """What one enumeration of a node saw: its moves in order, the frames
+    of the children they came from, the diagnostics it met (each `(kind,
+    tag)` once, in walk order) and whether the replication bound cut it
+    short.  A frame without kids made its moves (a sum's, a copy's, a
+    replication's).  A parallel's lists its left's, its right's, then its
+    syncs, and `x` holds its two sides (not the node: a memo that points
+    back at its node is a cycle, freed only by the cyclic collector).  A
+    restriction chain's lists its body's moves on none of its names, and
+    `x` holds the names and the body indices kept (None when all)."""
 
     moves: list
     kids: tuple = ()
     x: object = None
+    diagnostics: tuple = ()
+    truncated: bool = False
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """The diagnostics a, then those of b not in a."""
+    return a + tuple(d for d in b if d not in a) if b else a
 
 
 def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent:
@@ -282,7 +292,7 @@ def apply(f: Abstraction, c: Concretion) -> Process:
 # ---------------------------------------------------------------------------
 
 
-def _sum_transitions(p: Sum, res: Enumeration):
+def _sum_transitions(p: Sum, diagnostics: list):
     out = []
     for pi, cont in p.branches:
         tag = (p.tag,) if p.tag else ()
@@ -297,7 +307,7 @@ def _sum_transitions(p: Sum, res: Enumeration):
             if v is True:
                 out.append(_move(Proc(cont), "pass", tags=tag))
             elif v is fl.UNDEFINED:
-                res.diagnostics.append(("undefined-guard", p.tag))
+                diagnostics.append(("undefined-guard", p.tag))
         elif isinstance(pi, Continuous):
             keep = Sum(((pi, cont),), tag=p.tag)
             for i, pol in sorted(pi.ready):
@@ -312,59 +322,26 @@ def _sum_transitions(p: Sum, res: Enumeration):
     return out
 
 
-def _spawns_replications(p: Process) -> bool:
-    """True when p is a replication whose copies carry replications of
-    their own (a factory of stateful instances, not a plain loop)."""
-    return isinstance(p, Replication) and Replication in constructs(p.body)
-
-
-def _unguarded_replication(p: Process) -> bool:
-    """True when a replication in p is reached without passing a prefix, so
-    that enumerating p unfolds it."""
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        if isinstance(q, Replication):
-            return True
-        if isinstance(q, Parallel):
-            todo += (q.left, q.right)
-        elif isinstance(q, Restriction):
-            todo.append(q.body)
-    return False
-
-
 # Process nodes are immutable and successor terms share untouched subtrees,
-# so each node memoises its enumeration's frame (see syntax.memo) together
-# with the depth, diagnostics and truncation it was computed with.  A frame
-# lists its children's move objects and adds only its own syncs, and it
-# keeps the children's frames, so a move's agent is lifted from what the
-# enumeration that made it saw, even once a child's memo is replaced.
+# so each node memoises its enumeration's frame (see syntax.memo) with the
+# depth it was computed at.  A frame is a value that carries its own
+# diagnostics and truncation, so a hit replays nothing.  It lists its
+# children's move objects and adds only its own syncs, and it keeps the
+# children's frames, so a move's agent is lifted from what the enumeration
+# that made it saw, even once a child's memo is replaced.
 # Replication copies (and their unfold tags) freeze on first enumeration;
 # reruns start from a refreshed root, so the numbering stays reproducible.
 # A copy is its body's memoised moves under the copy's stamp, refreshed
 # only when one of them is committed or inspected (see _copy); a second
 # copy is stamped only where two copies can synchronise (see _trans_inner).
-def _trans(p: Process, depth: int, res: Enumeration) -> _Frame:
-    if _spawns_replications(p):
-        # never memoised: each instance spawned by such a factory must carry
-        # a fresh unfold stamp so its own events stay distinguishable
-        return _trans_inner(p, depth, res)
-
-    def compute(p: Process) -> tuple:
-        ndiag = len(res.diagnostics)
-        was_truncated = res.truncated
-        res.truncated = False
-        f = _trans_inner(p, depth, res)
-        entry = (depth, f, tuple(res.diagnostics[ndiag:]), res.truncated)
-        res.truncated = was_truncated
-        return entry
-
-    _, f, diags, truncated = memo(p, "_trans", compute, lambda hit: hit[0] == depth)
-    for d in diags:
-        if d not in res.diagnostics:
-            res.diagnostics.append(d)
-    res.truncated = res.truncated or truncated
-    return f
+def _trans(p: Process, depth: int, counter: list) -> _Frame:
+    if isinstance(p, Replication) and Replication in constructs(p.body):
+        # a factory of stateful instances, never memoised: each instance it
+        # spawns must carry a fresh unfold stamp so its own events stay
+        # distinguishable
+        return _trans_inner(p, depth, counter)
+    _, frame = memo(p, "_trans", lambda p: (depth, _trans_inner(p, depth, counter)), lambda hit: hit[0] == depth)
+    return frame
 
 
 def _syncs(left: _Frame, right: _Frame, persist: Optional[Process] = None) -> list:
@@ -405,29 +382,31 @@ def _stamp_agent(f: _Frame, i: int, suffix: str) -> Agent:
     return Concretion(new, tuple(subst_expr(e, sub) for e in a.payload) if sub else a.payload, body)
 
 
-def _copy(p: Replication, depth: int, res: Enumeration) -> _Frame:
-    """The moves of a fresh copy of p's body, its tags stamped with a new
-    unfold index.  A body that unfolds replications of its own while it is
-    enumerated draws their stamps from a refreshed copy; any other body
-    lends its memoised moves, stamped when forced."""
-    res.counter[0] += 1
-    suffix = f"#{res.counter[0]}"
-    if _unguarded_replication(p.body):
-        return _trans(refresh(p.body, suffix), depth, res)
-    outer, res.diagnostics = res.diagnostics, []
-    base = _trans(p.body, depth, res)
-    diags, res.diagnostics = res.diagnostics, outer
-    res.diagnostics += [(kind, f"{tag}{suffix}" if tag else tag) for kind, tag in diags]
-    return _Frame([_pending(t, _stamp_agent, (base, i, suffix), tuple(g + suffix for g in t.tags)) for i, t in enumerate(base.moves)])
+def _copy(p: Replication, depth: int, counter: list) -> _Frame:
+    """The moves of a fresh copy of p's body, its tags and diagnostics
+    stamped with a new unfold index.  A body that unfolds replications of
+    its own while it is enumerated draws their stamps from a refreshed copy;
+    any other body lends its memoised moves, stamped when forced."""
+    counter[0] += 1
+    suffix = f"#{counter[0]}"
+    if shape(p.body)[2]:  # a replication unguarded in the body
+        return _trans(refresh(p.body, suffix), depth, counter)
+    base = _trans(p.body, depth, counter)
+    moves = [_pending(t, _stamp_agent, (base, i, suffix), tuple(g + suffix for g in t.tags)) for i, t in enumerate(base.moves)]
+    diagnostics = tuple((kind, f"{tag}{suffix}" if tag else tag) for kind, tag in base.diagnostics)
+    return _Frame(moves, (), None, diagnostics, base.truncated)
 
 
-def _trans_inner(p: Process, depth: int, res: Enumeration) -> _Frame:
+def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
     if isinstance(p, Sum):
-        return _Frame(_sum_transitions(p, res))
+        diagnostics: list = []
+        moves = _sum_transitions(p, diagnostics)
+        return _Frame(moves, (), None, tuple(diagnostics[:1]))  # each is ("undefined-guard", p.tag)
     if isinstance(p, Parallel):
-        left = _trans(p.left, depth, res)
-        right = _trans(p.right, depth, res)
-        return _Frame(left.moves + right.moves + _syncs(left, right), (left, right), (p.left, p.right))
+        left = _trans(p.left, depth, counter)
+        right = _trans(p.right, depth, counter)
+        return _Frame(left.moves + right.moves + _syncs(left, right), (left, right), (p.left, p.right),
+                      _merged(left.diagnostics, right.diagnostics), left.truncated or right.truncated)
     if isinstance(p, Restriction):
         # a chain of restrictions in one pass: drop the moves on any of its
         # names; the agents are wrapped innermost name first when read
@@ -435,42 +414,42 @@ def _trans_inner(p: Process, depth: int, res: Enumeration) -> _Frame:
         while isinstance(p, Restriction):
             names.append(p.name)
             p = p.body
-        body = _trans(p, depth, res)
+        body = _trans(p, depth, counter)
         hidden = set(names)
         kept = [i for i, t in enumerate(body.moves) if t.shape is Proc or t.chan not in hidden]
         kept = None if len(kept) == len(body.moves) else kept
         moves = body.moves if kept is None else [body.moves[i] for i in kept]
-        return _Frame(moves, (body,), (names, kept))
+        return _Frame(moves, (body,), (names, kept), body.diagnostics, body.truncated)
     if isinstance(p, Replication):
         if depth <= 0:
-            res.truncated = True
-            return _Frame([])
+            return _Frame([], (), None, (), True)
         # lazy unfolding: one copy covers single-participant transitions;
         # !P itself persists in targets.  Copies are alpha-equivalent with
         # free-name labels, so a second copy (for copy-to-copy syncs) is
         # stamped only if the first has an input and an output on one
         # channel.  Else the counter skips the stamps it and its nested
         # unfolds would have drawn, so every later stamp keeps its number.
-        before = res.counter[0]
-        copy = _copy(p, depth - 1, res)
+        before = counter[0]
+        copy = _copy(p, depth - 1, counter)
         # each copy move keeps its agent beside !P, so a move committed
         # again on a later pass of a loop gives the same successor nodes
         moves = [_pending(t, _agent_at, (copy, i, p)) for i, t in enumerate(copy.moves)]
+        diagnostics = copy.diagnostics
         ins = {t.chan for t in moves if t.shape is Abstraction}
         if any(t.shape is Concretion and t.chan in ins for t in moves):
-            moves += _syncs(copy, _copy(p, depth - 1, res), persist=p)
+            second = _copy(p, depth - 1, counter)
+            moves += _syncs(copy, second, persist=p)
+            diagnostics = _merged(diagnostics, second.diagnostics)
         elif any(t.shape is not Proc for t in moves):
-            res.counter[0] += res.counter[0] - before
-        return _Frame(moves)
+            counter[0] += counter[0] - before
+        return _Frame(moves, (), None, diagnostics, copy.truncated)  # alike copies are cut alike
     raise TypeError(p)
 
 
 def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = None) -> Enumeration:
-    res = Enumeration()
-    if counter is not None:
-        res.counter = counter
-    res.frame = _trans(p, depth, res)
-    return res
+    counter = [0] if counter is None else counter
+    f = _trans(p, depth, counter)
+    return Enumeration(f, list(f.diagnostics), f.truncated, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -351,17 +351,25 @@ class _Parser:
         return Sum(branches, tag=first.tag)
 
     def parse_binder_form(self) -> Process:
-        t = self.next()
-        if t.text == "new":
-            self.scope.append({})
-            ns = self.comma_list(self.binder)
-            self.eat(".")
+        # a chain of new and repl heads, each over all that follows, costs
+        # no frame per head: its innermost body is parsed once and wrapped
+        depth = len(self.scope)
+        heads = []  # binders of a new, None for a repl
+        while self.peek().text in ("new", "repl"):
+            if self.next().text == "new":
+                self.scope.append({})
+                heads.append(self.comma_list(self.binder))
+                self.eat(".")
+            else:
+                heads.append(None)
+        if heads:
             body = self.parse_process()
-            self.scope.pop()
-            return restrict(ns, body)
-        if t.text == "repl":
-            return Replication(self.parse_process())
+            del self.scope[depth:]  # one scope per new
+            for ns in reversed(heads):
+                body = Replication(body) if ns is None else restrict(ns, body)
+            return body
         # mu name (params)? (@ <exprs>)? . process
+        self.next()
         nm = self.ident()
         param_toks: list = []
         if self.at("("):

@@ -26,11 +26,12 @@ non-injectively or onto another slot).  So a received value, a passed
 channel or a renewed binder costs nothing in branches a run never takes,
 while a sum that would fail fails at the call.  Fresh names are drawn as
 sums are built, so their order follows a run's reads, which only ``repr``
-(name ids) shows.  The parser nests processes at most ``MAX_DEPTH`` deep.
+(name ids) shows.  One walk, ``shape``, gives a node's constructs, depth
+and unguarded replication; the parser refuses depths past ``MAX_DEPTH``.
 
-Derived facts (free names, enumerations, structural flags, a deferred
-sum's branches) are memoised on each node itself, so a node must never be
-mutated or copied.
+Derived facts (free names, shape, enumerations, a deferred sum's branches)
+are values memoised on each node itself, so a node must never be mutated
+or copied.
 """
 
 from __future__ import annotations
@@ -334,46 +335,48 @@ def memo(p: Process, key: str, compute: Callable, valid: Optional[Callable] = No
     return hit
 
 
-def constructs(p: Process) -> frozenset:
-    """The process-node and prefix classes that occur in p, continuations
-    and replication bodies included."""
-    return memo(p, "_constructs", _constructs)
+def shape(p: Process) -> tuple:
+    """p's constructs (the process-node and prefix classes in it, bodies
+    and continuations included), the levels it nests (root 1), and whether
+    a replication is reached without passing a prefix, so that enumerating
+    p unfolds it.  One walk with an explicit stack (it is the parse-time
+    depth guard); a deferred sum counts as its source, unbuilt, since a
+    substitution changes no node's class and no nesting."""
+    return memo(p, "_shape", _shape)
 
 
-def _constructs(p: Process) -> frozenset:
-    out = set()
-    todo = [p]
+def _shape(p: Process) -> tuple:
+    classes, deepest, unguarded = set(), 0, False
+    todo = [(p, 1, False)]
     while todo:
-        q = todo.pop()
-        if isinstance(q, _Deferred):
-            out |= constructs(q.src)  # a substitution changes no node's class
-            continue
-        out.add(type(q))
+        q, d, guarded = todo.pop()
+        while isinstance(q, _Deferred):
+            q = q.src
+        classes.add(type(q))
+        deepest = max(deepest, d)
         if isinstance(q, Sum):
             for pi, cont in q.branches:
-                out.add(type(pi))
-                todo.append(cont)
+                classes.add(type(pi))
+                todo.append((cont, d + 1, True))
         elif isinstance(q, Parallel):
-            todo += (q.left, q.right)
+            todo += ((q.left, d + 1, guarded), (q.right, d + 1, guarded))
         else:
-            todo.append(q.body)
-    return frozenset(out)
+            unguarded = unguarded or (isinstance(q, Replication) and not guarded)
+            todo.append((q.body, d + 1, guarded))
+    return frozenset(classes), deepest, unguarded
+
+
+def constructs(p: Process) -> frozenset:
+    """The process-node and prefix classes that occur in p (see shape)."""
+    return shape(p)[0]
 
 
 MAX_DEPTH = 256  # levels a parsed process may nest; _rewrite takes 3 frames a level
 
 
 def depth(p: Process) -> int:
-    """The levels p nests (root 1); a deferred sum nests as its source."""
-    deepest, todo = 0, [(p, 1)]
-    while todo:
-        q, d = todo.pop()
-        while isinstance(q, _Deferred):
-            q = q.src
-        deepest = max(deepest, d)
-        kids = [c for _, c in q.branches] if isinstance(q, Sum) else (q.left, q.right) if isinstance(q, Parallel) else (q.body,)
-        todo += [(c, d + 1) for c in kids]
-    return deepest
+    """The levels p nests, root 1 (see shape)."""
+    return shape(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +537,7 @@ class _Deferred(Sum):
     src's when first read, and kept as a memo.  Nothing mutates s once a
     rewrite has it: ``substitute`` and ``refresh`` take a copy, and
     ``_scope`` completes each substitution it makes before returning it.
-    Its free names, name slots and constructs come from src without
+    Its free names, name slots and shape come from src without
     building it, and it compares, hashes and prints as the Sum it stands
     for."""
 

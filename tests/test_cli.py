@@ -253,6 +253,29 @@ def test_deep_term_is_refused_whatever_the_recursion_limit(hpc, capsys):
     assert capsys.readouterr().err == f"error: 1:1: process nested 601 levels deep; at most {MAX_DEPTH} are allowed\n"
 
 
+@pytest.mark.parametrize("body, code, last", [
+    ("new a . " * 250 + "0", 0, "status=inaction"),  # 251 levels, within MAX_DEPTH
+    ("repl " * 250 + "a!<>", 0, "status=horizon"),
+    ("new a . " * 300 + "0", 3, f"error: 1:1: process nested 301 levels deep; at most {MAX_DEPTH} are allowed"),
+], ids=["new", "repl", "new-past-max-depth"])
+def test_binder_chains_parse_at_the_default_recursion_limit(hpc, capsys, body, code, last):
+    # the parser loops over a chain of new and repl heads, so a chain costs
+    # it no frames per head, and only MAX_DEPTH refuses a deep one
+    f = hpc("chain.hpc", f"run {body};")
+    assert main(["simulate", f, "--horizon", "1"]) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(last)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "WAIT", "--env", "zz=5"],
+    ["models", "run", "spec-system", "--env", "u=0.1", "--env", "zz=3"],
+])
+def test_env_key_the_model_does_not_read_is_model_exit(hpc, capsys, argv):
+    argv = [hpc("w.hpc", model_text("wait.hpc")) if a == "WAIT" else a for a in argv]
+    assert main(argv + ["--horizon", "1"]) == 3
+    assert capsys.readouterr().err == "error: --env: key 'zz' is read by no name of the model\n"
+
+
 def test_simulate_prints_diagnostics_as_warnings(hpc, capsys):
     # the second copy is not built, so the guard is reported once, for copy #1
     f = hpc("g.hpc", "run (repl ([x < 1] . b!<> + a() . 0)) || (a!<> . a!<>);")

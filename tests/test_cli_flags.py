@@ -45,7 +45,7 @@ def _invocations(tmp_path):
         ["discretize", decay, "--eps", "1e-3", "--duration", "1", "--step", "0.1", "--out", out],
         ["discretize", decay, "--eps", "1e-3", "--duration", "1", "--box", "2", "--seed", "3"],
         ["certcheck", aut, cert, "--samples", "16", "--tol", "1e-6", "--seed", "3", "--out", out],
-        ["models", "run", "wait", *sim, *run],
+        ["models", "run", "spec-system", *sim, *run],
     ]
 
 
