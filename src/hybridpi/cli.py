@@ -33,7 +33,7 @@ from .equivalence import (
 from .kernel import IntegratorConfig
 from .parser import parse, pretty
 from .simulator import SimConfig, simulate, trace_to_jsonl, trajectory_to_csv
-from .syntax import HpiError, Continuous, Sum, free_names
+from .syntax import HpiError, Continuous, Sum, value_names
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -91,8 +91,8 @@ def _env_pairs(pairs):
 
 
 def _refuse_unread(keys, procs, where: str, readers: str):
-    """Refuse the first sorted key that no free name of procs reads (bind_env would drop it)."""
-    unread = sorted(set(keys) - {n.display for p in procs for n in free_names(p)})
+    """Refuse the first sorted key that procs read as no value (bind_env would drop it)."""
+    unread = sorted(set(keys) - {n.display for p in procs for n in value_names(p)})
     if unread:
         raise HpiError(f"{where}: key {unread[0]!r} is read by {readers}")
 

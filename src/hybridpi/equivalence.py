@@ -56,7 +56,6 @@ from .syntax import (
     canonical_key,
     constructs,
     expr_names,
-    free_names,
     fresh,
     prune,
     prefixed,
@@ -64,6 +63,7 @@ from .syntax import (
     restrict,
     subst_expr,
     substitute,
+    value_names,
 )
 
 # shared placeholders so extruded private names compare equal across systems
@@ -284,17 +284,22 @@ class ApproxVerdict:
 
 
 def bind_env(p: Process, spec):
-    """Resolve an environment keyed by display name against p's free names."""
+    """Resolve an environment keyed by display name against the names p
+    reads as values; a key that two of them display is refused."""
     if spec is None:
         return None
-    table = {n.display: n for n in free_names(p)}
+    table: dict = {}
+    for n in value_names(p):
+        table.setdefault(n.display, []).append(n)
 
     def conv(d: dict) -> dict:
         out = {}
         for k, v in d.items():
-            n = table.get(k)
-            if n is not None:
-                out[n] = float(v)
+            ns = table.get(k, ())
+            if len(ns) > 1:
+                raise HpiError(f"environment key {k!r} is the display of {len(ns)} distinct names")
+            if ns:
+                out[ns[0]] = float(v)
         return out
 
     if isinstance(spec, dict):

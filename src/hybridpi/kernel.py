@@ -340,8 +340,10 @@ def _trans(p: Process, depth: int, counter: list) -> _Frame:
         # spawns must carry a fresh unfold stamp so its own events stay
         # distinguishable
         return _trans_inner(p, depth, counter)
-    _, frame = memo(p, "_trans", lambda p: (depth, _trans_inner(p, depth, counter)), lambda hit: hit[0] == depth)
-    return frame
+    hit = getattr(p, "_trans", None)
+    if hit is not None and hit[0] == depth:
+        return hit[1]
+    return memo(p, "_trans", (depth, _trans_inner(p, depth, counter)))[1]
 
 
 def _syncs(left: _Frame, right: _Frame, persist: Optional[Process] = None) -> list:

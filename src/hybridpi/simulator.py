@@ -173,10 +173,14 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
         if enum.truncated:
             enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={REPL_DEPTH}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
-        taus = [i for i, tr in enumerate(enum.frame.moves) if tr.shape is Proc]
-        if taus:
-            i = taus[0] if rng is None else taus[int(rng.integers(len(taus)))]
-            tr = enum.frame.moves[i]
+        moves = enum.frame.moves
+        if rng is None:  # the first silent move, found without listing the others
+            i = next((i for i, tr in enumerate(moves) if tr.shape is Proc), None)
+        else:
+            taus = [i for i, tr in enumerate(moves) if tr.shape is Proc]
+            i = taus[int(rng.integers(len(taus)))] if taus else None
+        if i is not None:
+            tr = moves[i]
             kind = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}[tr.kind]
             ev = TraceEvent(
                 t,
@@ -310,20 +314,11 @@ def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> li
 
 
 def trace_to_jsonl(trace: Sequence[TraceEvent]) -> str:
-    lines = []
-    for ev in trace:
-        lines.append(
-            json.dumps(
-                {
-                    "time": ev.time,
-                    "kind": ev.kind,
-                    "chan": ev.chan,
-                    "values": ev.values,
-                    "provenance": ev.provenance,
-                },
-                separators=(",", ":"),
-            )
-        )
+    encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one per event
+    lines = [
+        encode({"time": ev.time, "kind": ev.kind, "chan": ev.chan, "values": ev.values, "provenance": ev.provenance})
+        for ev in trace
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

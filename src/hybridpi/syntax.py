@@ -5,9 +5,9 @@ restriction, parallel composition and replication.  Nothing mutates a
 node once it is built (tests/test_immutable.py checks the source for
 writes); the nodes are plain dataclasses, not frozen ones, because a
 frozen node pays a guarded ``object.__setattr__`` per field each time it
-is built.  Names carry globally unique integer ids; alpha-renaming mints
-fresh ids from a session counter so the Barendregt convention (free and
-bound names disjoint) can be maintained mechanically.  Conditions (guards
+is built.  Names are atoms with globally unique integer ids;
+alpha-renaming mints fresh ids from a session counter so the Barendregt
+convention (free and bound names disjoint) can be maintained mechanically.  Conditions (guards
 and cell boundaries) are expressions over the connectives false, <, and,
 not; the other comparisons and ``or`` are sugar over them.
 
@@ -29,9 +29,9 @@ sums are built, so their order follows a run's reads, which only ``repr``
 (name ids) shows.  One walk, ``shape``, gives a node's constructs, depth
 and unguarded replication; the parser refuses depths past ``MAX_DEPTH``.
 
-Derived facts (free names, shape, enumerations, a deferred sum's branches)
-are values memoised on each node itself, so a node must never be mutated
-or copied.
+Derived facts (free names, shape, enumerations, a deferred sum's branches,
+prune's fixed points) are values memoised on each node itself, so a node
+must never be mutated or copied.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class HpiError(Exception):
@@ -58,16 +58,15 @@ _counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
 
-@dataclass
+@dataclass(eq=False)
 class Name:
+    """An atom: equal only to itself and hashed by identity.  ``fresh`` is
+    the only constructor, so one id is one object; the id orders names and
+    keys canonical forms.  A Name rebuilt from another's id and display, or
+    one unpickled in another process, is a different atom."""
+
     id: int
     display: str
-
-    def __eq__(self, other):
-        return isinstance(other, Name) and self.id == other.id
-
-    def __hash__(self):
-        return hash(self.id)
 
     def __repr__(self):
         return f"{self.display}@{self.id}"
@@ -316,23 +315,17 @@ def prefixed(pi: Prefix, cont: Process, tag: Optional[str] = None) -> Sum:
     return Sum(((pi, cont),), tag=tag)
 
 
-_UNSET = object()
-
-
-def memo(p: Process, key: str, compute: Callable, valid: Optional[Callable] = None):
-    """The derived fact ``key`` of node p: ``compute(p)`` on first use, then
-    the value kept as an attribute in p's own instance dict.  Dataclass
-    equality, hashing, repr and ``replace`` read only the declared fields,
-    so the memo is invisible to them, and it dies with its node.  A kept
-    value that ``valid`` rejects is recomputed and replaced."""
-    hit = getattr(p, key, _UNSET)
-    if hit is _UNSET or (valid is not None and not valid(hit)):
-        hit = compute(p)
-        # the one write to a node after its __init__ (tests/test_immutable.py);
-        # reading p.__dict__ instead would materialise a dict and slow every
-        # later field access
-        setattr(p, key, hit)
-    return hit
+def memo(p: Process, key: str, value):
+    """Keep ``value`` as the derived fact ``key`` of node p and return it:
+    the one write to a node after its __init__ (tests/test_immutable.py).
+    It is an attribute in p's own instance dict, set as one (reading
+    ``p.__dict__`` would materialise a dict and slow every later field
+    access), so a hit is one read, ``getattr(p, key, None)``, by the
+    caller.  Dataclass equality, hashing, repr and ``replace`` read only
+    the declared fields, so the memo is invisible to them, and it dies
+    with its node."""
+    setattr(p, key, value)
+    return value
 
 
 def shape(p: Process) -> tuple:
@@ -342,7 +335,8 @@ def shape(p: Process) -> tuple:
     p unfolds it.  One walk with an explicit stack (it is the parse-time
     depth guard); a deferred sum counts as its source, unbuilt, since a
     substitution changes no node's class and no nesting."""
-    return memo(p, "_shape", _shape)
+    hit = getattr(p, "_shape", None)
+    return memo(p, "_shape", _shape(p)) if hit is None else hit
 
 
 def _shape(p: Process) -> tuple:
@@ -385,7 +379,8 @@ def depth(p: Process) -> int:
 
 
 def free_names(p: Process) -> frozenset[Name]:
-    return memo(p, "_free_names", _free_names)
+    hit = getattr(p, "_free_names", None)
+    return memo(p, "_free_names", _free_names(p)) if hit is None else hit
 
 
 def _free_names(p: Process) -> frozenset[Name]:
@@ -414,7 +409,8 @@ def name_slots(p: Process) -> frozenset[Name]:
     """The free names of p in name positions: channels and cell variables.
     A substitution that maps none of them puts values only where values go,
     so applying it cannot fail."""
-    return memo(p, "_name_slots", _name_slots)
+    hit = getattr(p, "_name_slots", None)
+    return memo(p, "_name_slots", _name_slots(p)) if hit is None else hit
 
 
 def _name_slots(p: Process) -> frozenset[Name]:
@@ -432,6 +428,21 @@ def _name_slots(p: Process) -> frozenset[Name]:
     if isinstance(p, Parallel):
         return name_slots(p.left) | name_slots(p.right)
     return name_slots(p.body)
+
+
+def value_names(p: Process) -> frozenset[Name]:
+    """The free names of p that a field, boundary, guard, initial value or
+    payload reads as a value: the names an environment can give a value."""
+    out, todo = set(), [p]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Sum):
+            for pi, cont in q.branches:
+                out.update(*map(expr_names, slots(pi)[1]))
+                todo.append(cont)
+        else:
+            todo += (q.left, q.right) if isinstance(q, Parallel) else (q.body,)
+    return free_names(p) & out
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +542,18 @@ def _rewrite_branch(pi: Prefix, cont: Process, s: dict, renew: bool, suffix: Opt
     return _remake(pi, names, values, binders), _rewrite(cont, inner, renew, suffix)
 
 
+class _Built:
+    """A deferred sum's branches: built on the first read and kept by memo
+    as a plain instance attribute, which every later read finds first."""
+
+    def __get__(self, p, cls=None):
+        return memo(p, "branches", _build(p))
+
+
 class _Deferred(Sum):
     """``_rewrite(src, s, renew, suffix)`` for a sum src that building cannot
     fail on: its tag is stamped at once, its branches are rewritten from
-    src's when first read, and kept as a memo.  Nothing mutates s once a
+    src's when first read (see _Built).  Nothing mutates s once a
     rewrite has it: ``substitute`` and ``refresh`` take a copy, and
     ``_scope`` completes each substitution it makes before returning it.
     Its free names, name slots and shape come from src without
@@ -544,9 +563,7 @@ class _Deferred(Sum):
     def __init__(self, src: Sum, s: dict, renew: bool, suffix: Optional[str], tag: Optional[str]):
         self.tag, self.src, self.sub, self.renew, self.suffix = tag, src, s, renew, suffix
 
-    @property
-    def branches(self) -> tuple:
-        return memo(self, "_branches", _build)
+    branches = _Built()
 
     def __repr__(self):
         return f"Sum(branches={self.branches!r}, tag={self.tag!r})"
@@ -671,9 +688,13 @@ def struct_congruent(p: Process, q: Process) -> bool:
 def prune(p: Process, repl: Optional[dict] = None) -> Process:
     """p without inert 0s; p itself when nothing changes, so its memos stay
     warm.  ``repl`` maps ids of nodes of p to replacements (a continuous
-    step's cells), put in and pruned in the same spine walk."""
+    step's cells), put in and pruned in the same spine walk.  What prune
+    returns is its own fixed point, so it is marked and, in a walk without
+    replacements, comes back at once."""
     if repl and id(p) in repl:
         p, repl = repl[id(p)], None
+    if isinstance(p, Sum) or (not repl and getattr(p, "_pruned", False)):
+        return p
     if isinstance(p, Parallel):
         l = prune(p.left, repl)
         r = prune(p.right, repl)
@@ -681,23 +702,16 @@ def prune(p: Process, repl: Optional[dict] = None) -> Process:
             return r
         if is_nil(r):
             return l
-        if l is p.left and r is p.right:
-            return p
-        return Parallel(l, r)
-    if isinstance(p, Restriction):
+        q = p if l is p.left and r is p.right else Parallel(l, r)
+    else:
         b = prune(p.body, repl)
         if is_nil(b):
             return NIL
-        if p.name not in free_names(b):
+        if isinstance(p, Replication):
+            q = p if b is p.body else Replication(b)
+        elif p.name not in free_names(b):
             return b
-        if b is p.body:
-            return p
-        return Restriction(p.name, b)
-    if isinstance(p, Replication):
-        b = prune(p.body, repl)
-        if is_nil(b):
-            return NIL
-        if b is p.body:
-            return p
-        return Replication(b)
-    return p
+        else:
+            q = p if b is p.body else Restriction(p.name, b)
+    memo(q, "_pruned", True)
+    return q

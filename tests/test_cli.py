@@ -276,6 +276,13 @@ def test_env_key_the_model_does_not_read_is_model_exit(hpc, capsys, argv):
     assert capsys.readouterr().err == "error: --env: key 'zz' is read by no name of the model\n"
 
 
+def test_env_key_that_names_only_a_channel_is_model_exit(hpc, capsys):
+    # a is a free name, but no field, guard or payload reads it as a value
+    f = hpc("chan.hpc", "run a(v) . b!<v>;")
+    assert main(["simulate", f, "--horizon", "1", "--env", "a=1"]) == 3
+    assert capsys.readouterr().err == "error: --env: key 'a' is read by no name of the model\n"
+
+
 def test_simulate_prints_diagnostics_as_warnings(hpc, capsys):
     # the second copy is not built, so the guard is reported once, for copy #1
     f = hpc("g.hpc", "run (repl ([x < 1] . b!<> + a() . 0)) || (a!<> . a!<>);")

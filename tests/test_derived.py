@@ -59,10 +59,10 @@ def assert_shapes(p):
     todo, deferred = [p], 0
     while todo:
         q = todo.pop()
-        unbuilt = isinstance(q, _Deferred) and "_branches" not in vars(q)
+        unbuilt = isinstance(q, _Deferred) and "branches" not in vars(q)
         deferred += unbuilt
         got = shape(q)
-        assert not unbuilt or "_branches" not in vars(q)
+        assert not unbuilt or "branches" not in vars(q)
         assert got == (oracle_classes(q), oracle_depth(q), oracle_unguarded(q))
         assert constructs(q) is constructs(q) is got[0] and depth(q) == got[1]
         todo += kids(q)

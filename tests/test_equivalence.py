@@ -31,7 +31,7 @@ from hybridpi.flows import eval_expr
 from hybridpi.kernel import ContinuousUnsupported, OpenSystem
 from hybridpi.parser import parse_term
 from hybridpi.simulator import Environment, simulate
-from hybridpi.syntax import HpiError, Parallel, Restriction, Replication, Sum, Var, fresh, prune, refresh
+from hybridpi.syntax import NIL, HpiError, Output, Parallel, Restriction, Replication, Sum, Var, fresh, prefixed, prune, refresh
 from hybridpi.zoo import load
 from termgen import random_terms
 
@@ -209,6 +209,24 @@ def test_bind_env_by_display_name():
     vals, _ = env.at(0.0)
     assert list(vals.values()) == [2.0]
     assert bind_env(p, None) is None
+
+
+def test_bind_env_binds_only_names_read_as_values():
+    # a is free but only a channel; u is read by a payload
+    p = parse_term("a(v) . b!<v> || c!<u>")
+    vals, _ = bind_env(p, {"a": 1.0, "u": 2.0}).at(0.0)
+    assert {n.display: v for n, v in vals.items()} == {"u": 2.0}
+
+
+@pytest.mark.parametrize("spec", [{"u": 1.0}, [(0.0, {"v": 0.0}), (1.0, {"u": 1.0})]], ids=["constant", "piecewise"])
+def test_bind_env_refuses_a_display_that_two_names_share(spec):
+    # with names hashed by identity a table built from the set would bind
+    # either u, by memory address
+    u1, u2 = fresh("u"), fresh("u")
+    p = Parallel(prefixed(Output(fresh("c"), (Var(u1),)), NIL), prefixed(Output(fresh("c"), (Var(u2),)), NIL))
+    with pytest.raises(HpiError, match="environment key 'u' is the display of 2 distinct names"):
+        bind_env(p, spec)
+    assert bind_env(p, {"v": 1.0}).at(0.0)[0] == {}
 
 
 # ---------------------------------------------------------------------------

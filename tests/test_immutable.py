@@ -5,7 +5,8 @@ process, prefix, expression, name or agent class, or an attribute that
 such a class's ``__init__`` sets) is written only as ``self.<field>``
 inside an ``__init__``, and the derived facts kept on a node are written
 only by ``syntax.memo``: nothing else calls ``setattr`` or
-``__setattr__``, or writes through ``__dict__`` or ``vars``."""
+``__setattr__``, writes through ``__dict__`` or ``vars``, or stores an
+underscored attribute on an object other than ``self`` or ``cls``."""
 
 import ast
 import dataclasses
@@ -93,6 +94,12 @@ def _is_back_door(node) -> bool:
         return (isinstance(f, ast.Name) and f.id in ("setattr", "delattr")) or (
             isinstance(f, ast.Attribute) and f.attr in ("__setattr__", "__delattr__")
         )
+    # x._k = v (or del x._k) on anything but self or cls: a memo stored by hand
+    if any(
+        t.attr.startswith("_") and not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls"))
+        for t in _store_targets(node)
+    ):
+        return True
     # vars(x)[k] = v and x.__dict__[k] = v
     return any(
         isinstance(t, ast.Subscript)
@@ -105,7 +112,8 @@ def _is_back_door(node) -> bool:
 
 
 def back_doors(trees: dict) -> list:
-    """setattr, __setattr__ and dict writes anywhere but syntax.memo."""
+    """setattr, __setattr__, dict writes and underscored attribute stores
+    on other objects, anywhere but syntax.memo."""
     bad = []
     for path, tree in trees.items():
         for _cls, fn in _methods(tree):
@@ -136,6 +144,9 @@ def test_only_memo_writes_past_the_fields():
 
 
 def test_the_checks_catch_a_write():
-    tree = ast.parse("def step(p):\n    p.tag = 'x'\n    object.__setattr__(p, 'body', None)\n    vars(p)['left'] = 1\n")
+    tree = ast.parse(
+        "def step(p):\n    p.tag = 'x'\n    object.__setattr__(p, 'body', None)\n    vars(p)['left'] = 1\n"
+        "    p._trans = (0, None)\n    q, p.left._pruned = p, True\n    self._agent = cls._instance = None\n"
+    )
     assert field_writes({"kernel.py": tree}, {"tag"}) == ["kernel.py:2 step: p.tag"]
-    assert len(back_doors({"kernel.py": tree})) == 2
+    assert sorted(bad.split()[0] for bad in back_doors({"kernel.py": tree})) == ["kernel.py:3", "kernel.py:4", "kernel.py:5", "kernel.py:6"]

@@ -1,8 +1,11 @@
+import pickle
+
 import pytest
 
 from hybridpi.parser import parse_term, pretty
 from hybridpi.syntax import (
     Input,
+    Name,
     Parallel,
     Restriction,
     Sum,
@@ -30,6 +33,16 @@ def parse_pair(a: str, b: str):
 
 def displays(names):
     return sorted(n.display for n in names)
+
+
+def test_names_are_atoms():
+    # equal only to itself and hashed by identity: fresh is the one constructor
+    a, b = fresh("a"), fresh("a")
+    assert Name.__hash__ is object.__hash__ and Name.__eq__ is object.__eq__
+    assert a == a and a != b and len({a, b}) == 2
+    twin = Name(a.id, a.display)
+    assert twin != a and twin not in {a} and repr(twin) == repr(a)
+    assert pickle.loads(pickle.dumps(a)) != a  # another process's copy is another atom
 
 
 def test_free_names_basic():
