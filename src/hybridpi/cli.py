@@ -7,8 +7,8 @@ times, meters for positions.
 
 Exit codes: 0 success (or: consistent / bisimilar / certificate holds),
 1 refuted / violated, 2 usage error, 3 model or input error, or a
-bisimulation left inconclusive because an LTS was cut off or dropped
-instantiations.
+bisimulation left inconclusive: `bisim` prints the reasons an LTS gives
+for being cut (LTS.cut) when the library's verdict is None.
 """
 
 from __future__ import annotations
@@ -140,7 +140,12 @@ def _load_scenarios(path):
         return [None]
     data = _load_json(path, json.loads)
     if isinstance(data, dict):
+        unknown = sorted(set(data) - {"scenarios"})
+        if unknown:
+            raise HpiError(f"{path}: unknown key {unknown[0]!r}")
         data = data.get("scenarios", [])
+    if not isinstance(data, list):
+        raise HpiError(f"{path}: 'scenarios' must be a list, got {type(data).__name__}")
     out = []
     try:
         for sc in data:
@@ -149,7 +154,7 @@ def _load_scenarios(path):
             elif isinstance(sc, list):
                 out.append([(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc])
             else:
-                raise HpiError(f"bad scenario entry: {sc!r}")
+                raise TypeError(f"not a binding or a profile: {sc!r}")
     except (TypeError, AttributeError, ValueError) as e:
         raise HpiError(f"{path}: malformed scenario {len(out)} ({e})") from None
     return out or [None]
@@ -202,17 +207,11 @@ def cmd_bisim(args) -> int:
                         max_states=args.max_states)
         for path in (args.file_a, args.file_b)
     }
-    # a cut-off LTS, or one that dropped instantiations, has lost edges, so
-    # neither verdict would be sound
-    cut = [f"inconclusive: {path} hit max_states={args.max_states}" for path, l in ltss.items() if l.bounded]
-    cut += [f"inconclusive: {path} hit repl depth={args.depth}" for path, l in ltss.items() if l.truncated]
-    cut += [f"inconclusive: {path} dropped {l.skipped} instantiations" for path, l in ltss.items() if l.skipped]
-    if cut:
-        print("\n".join(cut), file=sys.stderr)
-        return EXIT_MODEL
-    a, b = ltss[args.file_a], ltss[args.file_b]
     check = strong_bisim if args.mode == "strong" else weak_bisim
-    ok, _ = check(a, b)
+    ok, _ = check(ltss[args.file_a], ltss[args.file_b])
+    if ok is None:
+        print("\n".join(f"inconclusive: {path} {why}" for path, l in ltss.items() for why in l.cut), file=sys.stderr)
+        return EXIT_MODEL
     print(f"{args.mode} bisimulation: {'holds' if ok else 'refuted'}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_REFUTED
 

@@ -8,10 +8,11 @@ labels as integers, then works from a worklist: when states move to a new
 block, only their predecessors are re-signed, and a block splits by the
 (label, successor block) sets of those predecessors while its largest group
 keeps the id.  The result numbers blocks by their first member in sorted
-state order.  Weak bisimulation refines the saturated relation (tau
-closure around each visible step).  Approximate bisimulation
-co-simulates two closed systems per scenario and compares observed
-trajectories; refutation is sound, consistency is empirical.
+state order.  Weak bisimulation is strong bisimulation of the graph
+saturated by one tau-closure rule for every visible step, s => -l-> => t.
+A verdict is None over a cut LTS.  Approximate bisimulation co-simulates
+two closed systems per scenario and compares observed trajectories;
+refutation is sound, consistency is empirical.
 """
 
 from __future__ import annotations
@@ -75,9 +76,28 @@ class LTS:
     states: dict  # canonical key -> representative Process
     transitions: dict  # key -> tuple of (label, key)
     initial: str
+    max_states: int  # the bounds it was built under
+    repl_depth: int
     bounded: bool = False  # hit the state bound
     truncated: bool = False  # replication depth exhausted somewhere
     skipped: int = 0  # instantiations dropped (value into channel position)
+
+    @property
+    def cut(self) -> list:
+        """Why edges may be missing, one reason a line; empty when none are."""
+        return ([f"hit max_states={self.max_states}"] * self.bounded
+                + [f"hit repl depth={self.repl_depth}"] * self.truncated
+                + [f"dropped {self.skipped} instantiations"] * bool(self.skipped))
+
+
+def _shown(e: Expr):
+    """A payload value as a label shows it: a real, or the display of a name."""
+    v = fl.eval_expr(e)
+    if fl.is_real(v):
+        return float(v)
+    if isinstance(v, Var):
+        return ("name", v.name.display)
+    raise SubstitutionError("payload is neither a value nor a name")
 
 
 def build_lts(
@@ -86,6 +106,10 @@ def build_lts(
     max_states: int = 4000,
     repl_depth: int = 4,
 ) -> LTS:
+    """The LTS of p.  A root move has a target and a label per substitution:
+    the empty one if silent, each universe tuple for an input, the extrusion
+    renaming for an output.  One that puts a value where a name is needed,
+    or shows a payload that is neither, is counted in `skipped`."""
     if Continuous in constructs(p):
         raise ContinuousUnsupported("LTS construction covers discrete fragments only")
     universe = [float(v) for v in universe]
@@ -93,71 +117,45 @@ def build_lts(
         raise ValueError(f"universe values must be finite, got {universe}")
     p0 = prune(refresh(p))
     init = canonical_key(p0, flatten=True)
-    states = {init: p0}
-    transitions: dict = {}
-    bounded = False
-    truncated = False
-    skipped = 0
-    todo = [init]
+    lts = LTS({init: p0}, {}, init, max_states, repl_depth)
+    states, todo = lts.states, [init]
     while todo:
         key = todo.pop()
-        if key in transitions:
+        if key in lts.transitions:
             continue
-        proc = states[key]
-        enum = discrete_transitions(proc, repl_depth)
-        truncated = truncated or enum.truncated
+        enum = discrete_transitions(states[key], repl_depth)
+        lts.truncated |= enum.truncated
         out = []
         for tr in enum.transitions:
-            if isinstance(tr.agent, Proc):
-                targets = [(("tau",), tr.agent.body)]
-            elif isinstance(tr.agent, Abstraction):
-                f = tr.agent
-                targets = []
-                for vals in itertools.product(universe, repeat=len(f.binders)):
-                    sub = {b: Const(v) for b, v in zip(f.binders, vals)}
-                    try:
-                        tgt = substitute(f.body, sub)
-                    except SubstitutionError:
-                        skipped += 1
-                        continue
-                    targets.append((("in", tr.chan.display, vals), tgt))
+            agent = tr.agent
+            if isinstance(agent, Proc):
+                head, shown, subs = None, (), [{}]
+            elif isinstance(agent, Abstraction):
+                head, shown = ("in", tr.chan.display), [Var(b) for b in agent.binders]
+                subs = [dict(zip(agent.binders, map(Const, vals)))
+                        for vals in itertools.product(universe, repeat=len(agent.binders))]
             else:
-                c = tr.agent
-                if len(c.restricted) > len(_PRIV):
+                if len(agent.restricted) > len(_PRIV):
                     raise HpiError("too many extruded names in one concretion")
-                ren = {n: Var(_PRIV[i]) for i, n in enumerate(c.restricted)}
-                vals = []
-                ok = True
-                for e in c.payload:
-                    v = fl.eval_expr(subst_expr(e, ren))
-                    if fl.is_real(v):
-                        vals.append(float(v))
-                    elif isinstance(v, Var):
-                        vals.append(("name", v.name.display))
-                    else:
-                        ok = False  # payload not a value or a name
-                        break
-                if not ok:
-                    skipped += 1
-                    continue
+                head, shown = ("out", tr.chan.display), agent.payload
+                subs = [{n: Var(_PRIV[i]) for i, n in enumerate(agent.restricted)}]
+            for sub in subs:
                 try:
-                    tgt = substitute(c.body, ren)
+                    label = (*head, tuple([_shown(subst_expr(e, sub)) for e in shown])) if head else ("tau",)
+                    tgt = prune(substitute(agent.body, sub))
                 except SubstitutionError:
-                    skipped += 1
+                    lts.skipped += 1
                     continue
-                targets = [(("out", tr.chan.display, tuple(vals)), tgt)]
-            for label, tgt in targets:
-                tgt = prune(tgt)
                 tkey = canonical_key(tgt, flatten=True)
                 if tkey not in states:
                     if len(states) >= max_states:
-                        bounded = True
+                        lts.bounded = True
                         continue
                     states[tkey] = tgt
                     todo.append(tkey)
                 out.append((label, tkey))
-        transitions[key] = tuple(out)
-    return LTS(states, transitions, init, bounded, truncated, skipped)
+        lts.transitions[key] = tuple(out)
+    return lts
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +217,8 @@ def _refine(edges: dict) -> dict:
     return {s: first.setdefault(blk[i], len(first)) for i, s in enumerate(states)}
 
 
-def strong_bisim(a: LTS, b: LTS):
-    """Coarsest strong bisimulation over the disjoint union; returns
-    (initials related, partition as key -> block id)."""
-    edges = _merged_edges(a, b)
-    block = _refine(edges)
-    return block[("a", a.initial)] == block[("b", b.initial)], block
-
-
 def _saturate(edges: dict) -> dict:
-    # tau closure per state (reflexive-transitive)
+    """Weak steps: s =tau=> u for u in s's reflexive tau closure, s => -l-> => t for visible l."""
     closure = {}
     for s in edges:
         seen = {s}
@@ -244,23 +234,30 @@ def _saturate(edges: dict) -> dict:
     for s in edges:
         out = set()
         for u in closure[s]:
-            out.add((("tau",), u))  # s => u, matching a tau by zero-or-more
+            out.add((("tau",), u))
             for l, t in edges[u]:
-                if l == ("tau",):
-                    continue
-                if l[0] == "in":
-                    out.add((l, t))  # no closure after an input
-                else:
-                    for t2 in closure[t]:  # output bodies close under =>
-                        out.add((l, t2))
+                if l != ("tau",):
+                    out.update((l, t2) for t2 in closure[t])
         weak[s] = out
     return weak
 
 
-def weak_bisim(a: LTS, b: LTS):
-    edges = _saturate(_merged_edges(a, b))
+def _verdict(a: LTS, b: LTS, edges: dict):
+    """(initials related, partition as (system, key) -> block id) of edges
+    over a and b; the verdict is None when either LTS is cut (see LTS.cut),
+    since a missing edge can make either answer wrong."""
     block = _refine(edges)
-    return block[("a", a.initial)] == block[("b", b.initial)], block
+    return None if a.cut or b.cut else block[("a", a.initial)] == block[("b", b.initial)], block
+
+
+def strong_bisim(a: LTS, b: LTS):
+    """Coarsest strong bisimulation: see _verdict."""
+    return _verdict(a, b, _merged_edges(a, b))
+
+
+def weak_bisim(a: LTS, b: LTS):
+    """Coarsest weak bisimulation, the strong one of the saturated graph."""
+    return _verdict(a, b, _saturate(_merged_edges(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +525,8 @@ def lipschitz_estimate(
     seed: int = 0,
 ) -> float:
     """Max observed |f(a)-f(b)| / |a-b| over random pairs in the box."""
+    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in box):
+        raise ValueError(f"box bounds must be finite with lo < hi, got {list(box)}")
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])

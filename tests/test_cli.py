@@ -88,6 +88,20 @@ def test_bisim_exit_codes(hpc, capsys):
     assert main(["bisim", t, b, "--mode", "weak"]) == 0
 
 
+@pytest.mark.parametrize("a, b, mode, code", [
+    # Milner's third tau-law with an input prefix: the extra a-move to b!<>
+    # is matched by a followed by tau
+    ("a() . (tau . b!<> + c!<>)", "a() . (tau . b!<> + c!<>) + a() . b!<>", "weak", 0),
+    ("a() . (tau . b!<> + c!<>)", "a() . (tau . b!<> + c!<>) + a() . b!<>", "strong", 1),
+    ("d!<> . (tau . b!<> + c!<>)", "d!<> . (tau . b!<> + c!<>) + d!<> . b!<>", "weak", 0),
+    ("tau . a!<> + b!<>", "a!<> + b!<>", "weak", 1),
+], ids=["input-weak", "input-strong", "output-weak", "tau-summand-weak"])
+def test_bisim_weak_steps_close_under_tau_after_inputs_and_outputs(hpc, capsys, a, b, mode, code):
+    fa, fb = hpc("a.hpc", f"run {a};"), hpc("b.hpc", f"run {b};")
+    assert main(["bisim", fa, fb, "--mode", mode]) == code
+    assert capsys.readouterr().err == f"{mode} bisimulation: {'refuted' if code else 'holds'}\n"
+
+
 def test_approx_with_scenarios_and_report(hpc, tmp_path):
     a = hpc("a.hpc", "run {0 | x' = u & x < 100};")
     b = hpc("b.hpc", "run {0 | x' = u & x < 100};")
@@ -165,6 +179,13 @@ def test_discretize_emits_runnable_model(hpc, tmp_path):
     text = out.read_text()
     assert text.startswith("run ") and text.rstrip().endswith(";")
     assert main(["parse", str(out)]) == 0
+
+
+@pytest.mark.parametrize("box", ["nan", "0", "inf"])
+def test_discretize_refuses_a_box_that_is_not_one(hpc, capsys, box):
+    f = hpc("decay.hpc", "run {1 | x' = -x};")
+    assert main(["discretize", f, "--eps", "1e-3", "--duration", "1", "--box", box]) == 3
+    assert capsys.readouterr().err.startswith("error: box bounds must be finite with lo < hi")
 
 
 def test_certcheck_exit_codes(hpc, tmp_path, capsys):
@@ -494,6 +515,20 @@ def test_certcheck_truncated_json_names_file_and_part(hpc, capsys):
     assert err.startswith(f"error: {aut}: automaton: Unterminated string")
     _, cert, err = _certcheck_error(hpc, capsys, None, '{"phi": ')
     assert err.startswith(f"error: {cert}: certificate: Expecting value: line 1 column 9")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"u": 0.1}, "unknown key 'u'"),
+    ({"scenarios": [{"u": 0.1}], "scenarioz": 3}, "unknown key 'scenarioz'"),
+    ({"scenarios": {"u": 0.1}}, "'scenarios' must be a list, got dict"),
+    (0.1, "'scenarios' must be a list, got float"),
+    ([{"u": 0.1}, 5], "malformed scenario 1 (not a binding or a profile: 5)"),
+])
+def test_approx_scenario_file_that_is_not_a_list_of_scenarios_is_model_exit(hpc, capsys, doc, message):
+    a = hpc("a.hpc", "run {0 | x' = u & x < 100};")
+    sc = hpc("sc.json", json.dumps(doc))
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
+    assert capsys.readouterr().err == f"error: {sc}: {message}\n"
 
 
 def test_approx_truncated_scenarios_name_the_file(hpc, capsys):

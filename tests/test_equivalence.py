@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from hybridpi import equivalence
 from hybridpi.equivalence import (
+    _merged_edges,
     _refine,
     _saturate,
     approx_bisim,
@@ -33,7 +35,7 @@ from hybridpi.parser import parse_term
 from hybridpi.simulator import Environment, simulate
 from hybridpi.syntax import NIL, HpiError, Output, Parallel, Restriction, Replication, Sum, Var, fresh, prefixed, prune, refresh
 from hybridpi.zoo import load
-from termgen import random_terms
+from termgen import TermGen, random_terms
 
 from conftest import sim_config
 
@@ -183,6 +185,14 @@ def test_discretize_input_validation():
         discretize([Const(1.0)], [v], [Var(fresh("w"))], 1.0, 0.1)
 
 
+@pytest.mark.parametrize("box", [[(math.nan, math.nan)], [(0.0, 0.0)], [(-math.inf, math.inf)], [(1.0, -1.0)],
+                                 [(-1.0, 1.0), (2.0, 2.0)]])
+def test_lipschitz_estimate_refuses_a_box_that_is_not_one(box):
+    v, w = fresh("v"), fresh("w")
+    with pytest.raises(ValueError, match="box bounds must be finite with lo < hi"):
+        lipschitz_estimate([v, w][:len(box)], [Var(v), Var(w)][:len(box)], box)
+
+
 def test_lipschitz_estimate_linear_field():
     v = fresh("v")
     L = lipschitz_estimate([v], [3.0 * Var(v) if False else _scale(v, 3.0)], [(0.0, 1.0)])
@@ -265,6 +275,100 @@ def test_refine_matches_the_round_based_oracle(edges):
     assert _refine(edges) == rounds_refine(edges)
     weak = _saturate(edges)
     assert _refine(weak) == rounds_refine(weak)
+
+
+# ---------------------------------------------------------------------------
+# Bisimilarity by its definition
+# ---------------------------------------------------------------------------
+
+
+def tau_reach(edges):
+    """Each state's states reached by zero or more tau steps."""
+    reach = {}
+    for s in edges:
+        seen, layer = {s}, [s]
+        while layer:
+            layer = [t for u in layer for l, t in edges[u] if l == ("tau",) and t not in seen]
+            seen.update(layer)
+        reach[s] = seen
+    return reach
+
+
+def bisimilarity(edges, weak):
+    """The greatest symmetric R such that s R t and s -l-> s' give a t' with
+    t =l=> t' and s' R t'.  Strong: =l=> is -l->.  Weak: =tau=> is zero or
+    more tau steps and =l=> is =tau=> -l-> =tau=> (Milner, Communication and
+    Concurrency, 1989, ch. 5)."""
+    if weak:
+        reach = tau_reach(edges)
+        answers = {(t, l): reach[t] if l == ("tau",) else
+                   {t3 for u in reach[t] for l2, t2 in edges[u] if l2 == l for t3 in reach[t2]}
+                   for t in edges for l in {l for outs in edges.values() for l, _ in outs}}
+    else:
+        answers = {}
+        for t, outs in edges.items():
+            for l, t2 in outs:
+                answers.setdefault((t, l), set()).add(t2)
+
+    def matched(s, t, rel):
+        return all(any((s2, t2) in rel for t2 in answers.get((t, l), ())) for l, s2 in edges[s])
+
+    rel = {(s, t) for s in edges for t in edges}
+    while True:
+        keep = {(s, t) for s, t in rel if matched(s, t, rel) and matched(t, s, rel)}
+        if keep == rel:
+            return rel
+        rel = keep
+
+
+def assert_partition_is(block, rel):
+    for s in block:
+        for t in block:
+            assert (block[s] == block[t]) == ((s, t) in rel), (s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_dicts())
+def test_refinement_is_bisimilarity_by_definition(edges):
+    assert_partition_is(_refine(edges), bisimilarity(edges, weak=False))
+    assert_partition_is(_refine(_saturate(edges)), bisimilarity(edges, weak=True))
+
+
+def tau_law_pair(seed):
+    """Milner's third tau-law with an input prefix: a(w) . (tau . Q + R)
+    against the same term + a(w) . Q, for generated Q and summands R."""
+    gen = TermGen(random.Random(seed))
+    q, r = gen.term(3, ("w",)), gen.sum(3, ("w",))
+    p = f"a(w) . (tau . ({q}) + ({r}))"
+    return p, f"{p} + a(w) . ({q})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bisim_partitions_are_bisimilarity_by_definition_on_tau_law_instances(seed):
+    a, b = (lts(t) for t in tau_law_pair(seed))
+    edges = _merged_edges(a, b)
+    got = {False: strong_bisim(a, b), True: weak_bisim(a, b)}
+    rel = {weak: bisimilarity(edges, weak) for weak in got}
+    for weak, (_, block) in got.items():
+        assert_partition_is(block, rel[weak])
+    for weak, (ok, _) in got.items():
+        assert ok == (None if a.cut or b.cut else (("a", a.initial), ("b", b.initial)) in rel[weak])
+    assert got[True][0] is not False
+
+
+def test_api_verdict_over_a_cut_lts_is_none():
+    # d(x) . x!<> receives the private a, and the values 0 and 1, which are dropped
+    dropped = lts("new a . (d!<a> || a() . e!<>) || d(x) . x!<>")
+    other = lts("new a . tau . (a() . e!<> || a!<>)")
+    bounded = lts("repl a(v) . a!<v>", max_states=3)
+    truncated = lts("repl repl a!<1>", repl_depth=1)
+    assert dropped.cut == ["dropped 8 instantiations"] and not other.cut
+    assert bounded.cut == ["hit max_states=3"] and truncated.cut == ["hit repl depth=1"]
+    for cut in (dropped, bounded, truncated):
+        for check in (strong_bisim, weak_bisim):
+            assert check(cut, other)[0] is None and check(other, cut)[0] is None
+            assert check(cut, cut)[0] is None
 
 
 def raw_lts(p):
