@@ -32,7 +32,7 @@ from .equivalence import (
 )
 from .kernel import IntegratorConfig
 from .parser import parse, pretty
-from .simulator import SimConfig, simulate, trace_to_jsonl, trajectory_to_csv
+from .simulator import Environment, SimConfig, simulate, trace_to_jsonl, trajectory_to_csv
 from .syntax import HpiError, Continuous, Sum, value_names
 
 EXIT_OK = 0
@@ -152,7 +152,9 @@ def _load_scenarios(path):
             if isinstance(sc, dict):
                 out.append({k: float(v) for k, v in sc.items()})
             elif isinstance(sc, list):
-                out.append([(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc])
+                profile = [(float(t), {k: float(v) for k, v in d.items()}) for t, d in sc]
+                Environment(profile)  # refuses a piece start that is not finite, and a first one not at 0
+                out.append(profile)
             else:
                 raise TypeError(f"not a binding or a profile: {sc!r}")
     except (TypeError, AttributeError, ValueError) as e:

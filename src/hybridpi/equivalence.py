@@ -112,7 +112,7 @@ def build_lts(
     or shows a payload that is neither, is counted in `skipped`."""
     if Continuous in constructs(p):
         raise ContinuousUnsupported("LTS construction covers discrete fragments only")
-    universe = [float(v) for v in universe]
+    universe = list(dict.fromkeys(float(v) for v in universe))  # each value once, in order
     if not all(map(math.isfinite, universe)):
         raise ValueError(f"universe values must be finite, got {universe}")
     p0 = prune(refresh(p))

@@ -234,12 +234,16 @@ class Enumeration:
 # ---------------------------------------------------------------------------
 
 
-def _rename_concretion(c: Concretion, avoid: frozenset) -> Concretion:
-    """c with its restricted names renamed apart from `avoid`."""
-    restricted, sub = rename_apart(c.restricted, avoid)
+def _apart(a: Union[Abstraction, Concretion], avoid: frozenset) -> Agent:
+    """a with its own bound names, an abstraction's binders or a concretion's
+    restricted names, renamed apart from `avoid`, drawn in order."""
+    names = a.binders if isinstance(a, Abstraction) else a.restricted
+    new, sub = rename_apart(names, avoid)
     if not sub:
-        return c
-    return Concretion(restricted, tuple(subst_expr(e, sub) for e in c.payload), substitute(c.body, sub))
+        return a
+    if isinstance(a, Abstraction):
+        return Abstraction(new, substitute(a.body, sub))
+    return Concretion(new, tuple(subst_expr(e, sub) for e in a.payload), substitute(a.body, sub))
 
 
 def par_agent(a: Agent, q: Process, left: bool) -> Agent:
@@ -250,11 +254,10 @@ def par_agent(a: Agent, q: Process, left: bool) -> Agent:
 
     if isinstance(a, Proc):
         return Proc(mk(a.body))
+    a = _apart(a, free_names(q))
     if isinstance(a, Abstraction):
-        binders, sub = rename_apart(a.binders, free_names(q))
-        return Abstraction(binders, mk(substitute(a.body, sub) if sub else a.body))
-    c = _rename_concretion(a, free_names(q))
-    return Concretion(c.restricted, c.payload, mk(c.body))
+        return Abstraction(a.binders, mk(a.body))
+    return Concretion(a.restricted, a.payload, mk(a.body))
 
 
 def restrict_agent(x: Name, a: Agent) -> Agent:
@@ -273,7 +276,7 @@ def apply(f: Abstraction, c: Concretion) -> Process:
         raise HpiError(
             f"arity mismatch: abstraction of {len(f.binders)} applied to {len(c.payload)} values"
         )
-    c = _rename_concretion(c, free_names(f.body) - set(f.binders))
+    c = _apart(c, free_names(f.body) - set(f.binders))
     # closed payload expressions with a finite value pass by value, keeping
     # transmitted terms small (inf and nan have no literal that parses back)
     norm = []

@@ -90,7 +90,8 @@ class Environment:
     """Piecewise-constant values for names no cell guarantees.
 
     Construct from a plain dict (constant for all time) or a list of
-    (start_time, dict) pieces sorted by start time, first piece at 0.
+    (start_time, dict) pieces, each starting at a finite time, sorted by
+    start time, first piece at 0.
     """
 
     def __init__(self, spec):
@@ -98,6 +99,9 @@ class Environment:
             self.pieces = [(0.0, dict(spec))]
         else:
             pieces = sorted(((float(t), dict(d)) for t, d in spec), key=lambda x: x[0])
+            bad = [t for t, _ in pieces if not math.isfinite(t)]
+            if bad:
+                raise ValueError(f"environment piece starts at a time that is not finite: {bad[0]}")
             if not pieces or pieces[0][0] != 0.0:
                 raise ValueError("environment pieces must start at time 0")
             self.pieces = pieces
@@ -360,15 +364,17 @@ def trajectory_to_csv(segments) -> str:
 
 
 def trajectory_series(segments, display: str):
-    """Concatenated (times, values) arrays for one variable by display name."""
+    """Concatenated (times, values) arrays for one variable by display name,
+    which no segment may give two names."""
     ts: list = []
     vs: list = []
     for t0, flow in segments:
-        for j, n in enumerate(flow.names):
-            if n.display == display:
-                ts.append(t0 + flow.times)
-                vs.append(flow.values[:, j])
-                break
+        js = [j for j, n in enumerate(flow.names) if n.display == display]
+        if len(js) > 1:
+            raise HpiError(f"observed variable {display!r} is the display of {len(js)} distinct names")
+        if js:
+            ts.append(t0 + flow.times)
+            vs.append(flow.values[:, js[0]])
     if not ts:
         return np.array([]), np.array([])
     return np.concatenate(ts), np.concatenate(vs)

@@ -28,6 +28,10 @@ while a sum that would fail fails at the call.  Fresh names are drawn as
 sums are built, so their order follows a run's reads, which only ``repr``
 (name ids) shows.  One walk, ``shape``, gives a node's constructs, depth
 and unguarded replication; the parser refuses depths past ``MAX_DEPTH``.
+One walk, ``_names``, gives a node's free names by position: those in
+name positions (``name_slots``), those its expressions read
+(``value_names``), or both (``free_names``).  Both walks read a deferred
+sum through its source, so no derived fact builds one.
 
 Derived facts (free names, shape, enumerations, a deferred sum's branches,
 prune's fixed points) are values memoised on each node itself, so a node
@@ -229,9 +233,9 @@ Prefix = Union[Tau, Input, Output, Guard, Continuous]
 
 
 def slots(pi: Prefix) -> tuple:
-    """Where pi holds names, the one statement of it that the free-name,
-    name-slot and rewrite walkers read: its names in name position, its
-    value expressions and its binders.  ``_remake`` puts them back."""
+    """Where pi holds names, the one statement of it that the name walk and
+    the rewrite walker read: its names in name position, its value
+    expressions and its binders.  ``_remake`` puts them back."""
     if isinstance(pi, Output):
         return (pi.chan,), pi.payload, ()
     if isinstance(pi, Input):
@@ -379,30 +383,9 @@ def depth(p: Process) -> int:
 
 
 def free_names(p: Process) -> frozenset[Name]:
+    """The free names of p, in name positions and values alike."""
     hit = getattr(p, "_free_names", None)
-    return memo(p, "_free_names", _free_names(p)) if hit is None else hit
-
-
-def _free_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, _Deferred):
-        # capture-avoiding: the source's free names, each one the
-        # substitution maps traded for the names of its value
-        src = free_names(p.src)
-        hit = src.intersection(p.sub)
-        return (src - hit).union(*[expr_names(p.sub[n]) for n in hit])
-    if isinstance(p, Sum):
-        out: frozenset[Name] = frozenset()
-        for pi, cont in p.branches:
-            names, values, binders = slots(pi)
-            out |= free_names(cont).difference(binders).union(names, *map(expr_names, values))
-        return out
-    if isinstance(p, Restriction):
-        return free_names(p.body) - {p.name}
-    if isinstance(p, Parallel):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Replication):
-        return free_names(p.body)
-    raise TypeError(p)
+    return memo(p, "_free_names", _names(p, free_names, True, True)) if hit is None else hit
 
 
 def name_slots(p: Process) -> frozenset[Name]:
@@ -410,39 +393,40 @@ def name_slots(p: Process) -> frozenset[Name]:
     A substitution that maps none of them puts values only where values go,
     so applying it cannot fail."""
     hit = getattr(p, "_name_slots", None)
-    return memo(p, "_name_slots", _name_slots(p)) if hit is None else hit
-
-
-def _name_slots(p: Process) -> frozenset[Name]:
-    if isinstance(p, _Deferred):  # its substitution renames them, if at all
-        return frozenset([p.sub[n].name if n in p.sub else n for n in name_slots(p.src)])
-    if isinstance(p, Sum):
-        out = set()
-        for pi, cont in p.branches:
-            names, _, binders = slots(pi)
-            out |= name_slots(cont).difference(binders)
-            out.update(names)
-        return frozenset(out)
-    if isinstance(p, Restriction):
-        return name_slots(p.body) - {p.name}
-    if isinstance(p, Parallel):
-        return name_slots(p.left) | name_slots(p.right)
-    return name_slots(p.body)
+    return memo(p, "_name_slots", _names(p, name_slots, True, False)) if hit is None else hit
 
 
 def value_names(p: Process) -> frozenset[Name]:
     """The free names of p that a field, boundary, guard, initial value or
     payload reads as a value: the names an environment can give a value."""
-    out, todo = set(), [p]
-    while todo:
-        q = todo.pop()
-        if isinstance(q, Sum):
-            for pi, cont in q.branches:
-                out.update(*map(expr_names, slots(pi)[1]))
-                todo.append(cont)
-        else:
-            todo += (q.left, q.right) if isinstance(q, Parallel) else (q.body,)
-    return free_names(p) & out
+    hit = getattr(p, "_value_names", None)
+    return memo(p, "_value_names", _names(p, value_names, False, True)) if hit is None else hit
+
+
+def _names(p: Process, reader, in_slots: bool, in_values: bool) -> frozenset[Name]:
+    """The one walk of a node's free names: those in name positions, those
+    its expressions read, or both, as told; ``reader`` is the memoised
+    reader of the same positions, called on the children."""
+    if isinstance(p, _Deferred):
+        # read through the source, unbuilt and capture-avoiding: each name
+        # the substitution maps is traded for the names of its value
+        src = reader(p.src)
+        hit = src.intersection(p.sub)
+        return (src - hit).union(*[expr_names(p.sub[n]) for n in hit]) if hit else src
+    if isinstance(p, Sum):
+        out: frozenset[Name] = frozenset()
+        for pi, cont in p.branches:
+            names, values, binders = slots(pi)
+            out |= reader(cont).difference(binders).union(names if in_slots else (),
+                                                          *map(expr_names, values if in_values else ()))
+        return out
+    if isinstance(p, Restriction):
+        return reader(p.body) - {p.name}
+    if isinstance(p, Parallel):
+        return reader(p.left) | reader(p.right)
+    if isinstance(p, Replication):
+        return reader(p.body)
+    raise TypeError(p)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +540,7 @@ class _Deferred(Sum):
     src's when first read (see _Built).  Nothing mutates s once a
     rewrite has it: ``substitute`` and ``refresh`` take a copy, and
     ``_scope`` completes each substitution it makes before returning it.
-    Its free names, name slots and shape come from src without
+    Its free names by position and its shape come from src without
     building it, and it compares, hashes and prints as the Sum it stands
     for."""
 

@@ -496,6 +496,36 @@ def test_lts_and_bisim_reject_a_non_finite_universe(hpc, tmp_path, capsys, value
     assert not out.exists()
 
 
+def test_lts_counts_a_repeated_universe_value_once(hpc, tmp_path):
+    f = hpc("r.hpc", "run a(x) . b!<x>;")
+    labels = []
+    for universe in (["1", "1"], ["1", "0", "1"]):
+        out = tmp_path / "l.json"
+        assert main(["lts", f, "--universe", *universe, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        labels.append([label for label, _ in doc["transitions"][doc["initial"]]])
+    assert labels == [[["in", "a", [1.0]]], [["in", "a", [1.0]], ["in", "a", [0.0]]]]
+
+
+@pytest.mark.parametrize("start", ["NaN", "Infinity", "-Infinity"])
+def test_approx_scenario_piece_at_no_finite_time_is_model_exit(hpc, capsys, start):
+    a = hpc("a.hpc", "run {0 | x' = u & x < 100};")
+    sc = hpc("sc.json", f'[{{"u": 0.0}}, [[0, {{"u": 0.0}}], [{start}, {{"u": 5}}]]]')
+    assert main(["approx", a, a, "--eps", "1", "--delta", "1", "--scenarios", sc, "--horizon", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sc}: malformed scenario 1 (environment piece starts at a time that is not finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_approx_observed_display_of_two_names_is_model_exit(hpc, capsys, jobs):
+    one = hpc("one.hpc", "run {0 | x' = 1};")
+    two = hpc("two.hpc", "run {0 | x' = 1} || new x . {0 | x' = 100};")
+    assert main(["approx", one, two, "--eps", "1", "--delta", "1e9", "--observe", "x", "--horizon", "5",
+                 "--jobs", jobs]) == 3
+    assert capsys.readouterr().err == "error: observed variable 'x' is the display of 2 distinct names\n"
+
+
 def test_arity_mismatch_is_model_exit(hpc, capsys):
     f = hpc("ar.hpc", "run a(x) . 0 || a!<1, 2>;")
     assert main(["simulate", f, "--horizon", "1"]) == 3

@@ -23,7 +23,7 @@ from hybridpi.simulator import (
     trajectory_to_csv,
 )
 from hybridpi.equivalence import bind_env
-from hybridpi.syntax import alpha_equivalent, fresh
+from hybridpi.syntax import HpiError, alpha_equivalent, fresh
 from hybridpi.zoo import list_models, load, model_text
 from termgen import random_terms
 
@@ -109,6 +109,18 @@ def test_environment_profile_drives_open_variable():
 def test_environment_must_start_at_zero():
     with pytest.raises(ValueError):
         Environment([(1.0, {"u": 1.0})])
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_environment_piece_must_start_at_a_finite_time(start):
+    with pytest.raises(ValueError, match="not finite"):
+        Environment([(0.0, {"u": 0.0}), (start, {"u": 5.0})])
+
+
+def test_observed_display_of_two_names_in_one_segment_is_refused():
+    res = simulate(parse_term("{0 | x' = 1} || new x . {0 | x' = 100}"), sim_config(1.0))
+    with pytest.raises(HpiError, match="observed variable 'x' is the display of 2 distinct names"):
+        trajectory_series(res.segments, "x")
 
 
 def test_policy_random_is_seed_deterministic():
