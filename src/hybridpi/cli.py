@@ -97,6 +97,12 @@ def _refuse_unread(keys, procs, where: str, readers: str):
         raise HpiError(f"{where}: key {unread[0]!r} is read by {readers}")
 
 
+def _warn(diagnostics, where: str = "") -> None:
+    """Each (kind, tag) diagnostic as a warning on standard error."""
+    for kind, tag in diagnostics:
+        print(f"warning: {where}{kind}" + (f" at {tag}" if tag else ""), file=sys.stderr)
+
+
 def _sim_config(args, entry: zoo.ModelEntry = None) -> SimConfig:
     horizon = args.horizon if args.horizon is not None else (entry.horizon if entry else 10.0)
     step = args.step if args.step is not None else (entry.step if entry else 1e-3)
@@ -120,8 +126,7 @@ def _run(args, p, entry: zoo.ModelEntry = None) -> int:
     if args.out_traj:
         with open(args.out_traj, "w") as f:
             f.write(trajectory_to_csv(res.segments))
-    for kind, where in res.diagnostics:
-        print(f"warning: {kind}" + (f" at {where}" if where else ""), file=sys.stderr)
+    _warn(res.diagnostics)
     parts = [f"status={res.status}", f"end={res.end_time:.6g}s", f"events={len(res.trace)}"]
     if res.zeno and res.zeno.flagged:
         acc = res.zeno.accumulation
@@ -198,6 +203,7 @@ def cmd_lts(args) -> int:
             f.write(text)
     else:
         print(text)
+    _warn(lts.diagnostics)
     print(f"states={len(lts.states)} bounded={lts.bounded} truncated={lts.truncated} skipped={lts.skipped}",
           file=sys.stderr)
     return EXIT_OK
@@ -230,6 +236,9 @@ def cmd_approx(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             f.write(json.dumps(report, indent=2))
+    for sc in report["per_scenario"]:
+        for system, path in (("a", args.file_a), ("b", args.file_b)):
+            _warn(sc["diagnostics"][system], f"{path} scenario {sc['scenario']}: ")
     print(
         f"{report['status']}: max distance {report['max_distance']:.6g}, max skew {report['max_skew']:.6g}",
         file=sys.stderr,

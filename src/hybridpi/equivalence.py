@@ -79,24 +79,30 @@ class LTS:
     max_states: int  # the bounds it was built under
     repl_depth: int
     bounded: bool = False  # hit the state bound
-    truncated: bool = False  # replication depth exhausted somewhere
     skipped: int = 0  # instantiations dropped (value into channel position)
+    diagnostics: list = field(default_factory=list)  # what its enumerations left undecided, each once
+
+    @property
+    def truncated(self) -> bool:  # replication depth exhausted somewhere
+        return any(kind == "repl-depth-truncated" for kind, _ in self.diagnostics)
 
     @property
     def cut(self) -> list:
         """Why edges may be missing, one reason a line; empty when none are."""
         return ([f"hit max_states={self.max_states}"] * self.bounded
-                + [f"hit repl depth={self.repl_depth}"] * self.truncated
+                + [f"hit repl depth={self.repl_depth}" if kind == "repl-depth-truncated"
+                   else "undefined guard" + (f" at {tag}" if tag else "") for kind, tag in self.diagnostics]
                 + [f"dropped {self.skipped} instantiations"] * bool(self.skipped))
 
 
 def _shown(e: Expr):
-    """A payload value as a label shows it: a real, or the display of a name."""
+    """A payload value as a label shows it: a real, an extrusion placeholder
+    by its position, or the display of a free name."""
     v = fl.eval_expr(e)
     if fl.is_real(v):
         return float(v)
     if isinstance(v, Var):
-        return ("name", v.name.display)
+        return ("priv", _PRIV.index(v.name)) if v.name in _PRIV else ("name", v.name.display)
     raise SubstitutionError("payload is neither a value nor a name")
 
 
@@ -110,6 +116,9 @@ def build_lts(
     the empty one if silent, each universe tuple for an input, the extrusion
     renaming for an output.  One that puts a value where a name is needed,
     or shows a payload that is neither, is counted in `skipped`."""
+    for bound, v, least in (("max_states", max_states, 1), ("repl_depth", repl_depth, 0)):
+        if v < least:
+            raise ValueError(f"{bound} must be at least {least}, got {v}")
     if Continuous in constructs(p):
         raise ContinuousUnsupported("LTS construction covers discrete fragments only")
     universe = list(dict.fromkeys(float(v) for v in universe))  # each value once, in order
@@ -124,7 +133,7 @@ def build_lts(
         if key in lts.transitions:
             continue
         enum = discrete_transitions(states[key], repl_depth)
-        lts.truncated |= enum.truncated
+        lts.diagnostics.extend(d for d in enum.diagnostics if d not in lts.diagnostics)
         out = []
         for tr in enum.transitions:
             agent = tr.agent
@@ -310,7 +319,8 @@ def _total_evolve(trace) -> float:
 
 def check_scenario(p: Process, q: Process, cfg: SimConfig, sc, observe: Sequence[str] = ()) -> dict:
     """Co-simulate p and q under one scenario: the evolution-time skew, the
-    largest distance on an observed variable and that variable."""
+    largest distance on an observed variable, that variable, and the
+    diagnostics of each run, keyed "a" for p and "b" for q."""
     rp = simulate(p, cfg, bind_env(p, sc))
     rq = simulate(q, cfg, bind_env(q, sc))
     skew = abs(_total_evolve(rp.trace) - _total_evolve(rq.trace))
@@ -330,7 +340,8 @@ def check_scenario(p: Process, q: Process, cfg: SimConfig, sc, observe: Sequence
         d = float(np.max(np.abs(a - b))) if len(grid) else 0.0
         if d > dist:
             dist, worst_var = d, var
-    return {"skew": skew, "distance": dist, "variable": worst_var}
+    return {"skew": skew, "distance": dist, "variable": worst_var,
+            "diagnostics": {"a": rp.diagnostics, "b": rq.diagnostics}}
 
 
 def check_tolerances(eps: float, delta: float) -> None:
@@ -350,7 +361,8 @@ def approx_verdict(checks, eps: float, delta: float, scenarios: int) -> ApproxVe
     for idx, c in enumerate(checks):
         verdict.max_skew = max(verdict.max_skew, c["skew"])
         verdict.max_distance = max(verdict.max_distance, c["distance"])
-        verdict.per_scenario.append({"scenario": idx, "distance": c["distance"], "skew": c["skew"]})
+        verdict.per_scenario.append({"scenario": idx, "distance": c["distance"], "skew": c["skew"],
+                                     "diagnostics": c.get("diagnostics", {})})  # a check made by hand may have none
         if c["skew"] > delta + slack or c["distance"] > eps + slack:
             verdict.status = "refuted"
             verdict.counterexample = {"scenario": idx, **c}

@@ -5,8 +5,8 @@ the move's label (Milner's commitments): a process after a silent move, an
 abstraction awaiting values after an input on the transition's channel, a
 concretion carrying values after an output on it.  A node's enumeration,
 a value memoised on the node, lists its children's moves, the same
-objects, then its own syncs, and carries their diagnostics and truncation
-merged; a restriction drops the moves on its names.  A move names its kind,
+objects, then its own syncs, and carries their diagnostics in walk order;
+a restriction drops the moves on its names.  A move names its kind,
 channel, payload, tags and shape (the agent's class) where it is made, and
 its agent at the root is built only when read (the simulator reads the
 one move it commits): a loop walks the move's path down from the root by
@@ -168,9 +168,9 @@ def _pending(t: Transition, make, args: tuple, tags: Optional[tuple] = None) -> 
 @dataclass(slots=True, eq=False)
 class _Frame:
     """What one enumeration of a node saw: its moves in order, the frames
-    of the children they came from, the diagnostics it met (each `(kind,
-    tag)` once, in walk order) and whether the replication bound cut it
-    short.  A frame without kids made its moves (a sum's, a copy's, a
+    of the children they came from, and the diagnostics it met, in walk
+    order and its children's concatenated (a cut replication's has tag
+    None).  A frame without kids made its moves (a sum's, a copy's, a
     replication's).  A parallel's lists its left's, its right's, then its
     syncs, and `x` holds its two sides (not the node: a memo that points
     back at its node is a cycle, freed only by the cyclic collector).  A
@@ -181,12 +181,6 @@ class _Frame:
     kids: tuple = ()
     x: object = None
     diagnostics: tuple = ()
-    truncated: bool = False
-
-
-def _merged(a: tuple, b: tuple) -> tuple:
-    """The diagnostics a, then those of b not in a."""
-    return a + tuple(d for d in b if d not in a) if b else a
 
 
 def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent:
@@ -217,8 +211,8 @@ def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent
 @dataclass
 class Enumeration:
     frame: Optional[_Frame] = None  # the root's: its moves, shared with the nodes below
-    diagnostics: list = field(default_factory=list)
-    truncated: bool = False
+    diagnostics: list = field(default_factory=list)  # each once, in walk order
+    truncated: bool = False  # a repl-depth-truncated entry is in diagnostics
     counter: list = field(default_factory=lambda: [0])  # replication unfold stamps
 
     @cached_property
@@ -328,10 +322,10 @@ def _sum_transitions(p: Sum, diagnostics: list):
 # Process nodes are immutable and successor terms share untouched subtrees,
 # so each node memoises its enumeration's frame (see syntax.memo) with the
 # depth it was computed at.  A frame is a value that carries its own
-# diagnostics and truncation, so a hit replays nothing.  It lists its
-# children's move objects and adds only its own syncs, and it keeps the
-# children's frames, so a move's agent is lifted from what the enumeration
-# that made it saw, even once a child's memo is replaced.
+# diagnostics, so a hit replays nothing.  It lists its children's move
+# objects and adds only its own syncs, and it keeps the children's frames,
+# so a move's agent is lifted from what the enumeration that made it saw,
+# even once a child's memo is replaced.
 # Replication copies (and their unfold tags) freeze on first enumeration;
 # reruns start from a refreshed root, so the numbering stays reproducible.
 # A copy is its body's memoised moves under the copy's stamp, refreshed
@@ -399,7 +393,7 @@ def _copy(p: Replication, depth: int, counter: list) -> _Frame:
     base = _trans(p.body, depth, counter)
     moves = [_pending(t, _stamp_agent, (base, i, suffix), tuple(g + suffix for g in t.tags)) for i, t in enumerate(base.moves)]
     diagnostics = tuple((kind, f"{tag}{suffix}" if tag else tag) for kind, tag in base.diagnostics)
-    return _Frame(moves, (), None, diagnostics, base.truncated)
+    return _Frame(moves, (), None, diagnostics)
 
 
 def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
@@ -411,7 +405,7 @@ def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
         left = _trans(p.left, depth, counter)
         right = _trans(p.right, depth, counter)
         return _Frame(left.moves + right.moves + _syncs(left, right), (left, right), (p.left, p.right),
-                      _merged(left.diagnostics, right.diagnostics), left.truncated or right.truncated)
+                      left.diagnostics + right.diagnostics)
     if isinstance(p, Restriction):
         # a chain of restrictions in one pass: drop the moves on any of its
         # names; the agents are wrapped innermost name first when read
@@ -424,10 +418,10 @@ def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
         kept = [i for i, t in enumerate(body.moves) if t.shape is Proc or t.chan not in hidden]
         kept = None if len(kept) == len(body.moves) else kept
         moves = body.moves if kept is None else [body.moves[i] for i in kept]
-        return _Frame(moves, (body,), (names, kept), body.diagnostics, body.truncated)
+        return _Frame(moves, (body,), (names, kept), body.diagnostics)
     if isinstance(p, Replication):
         if depth <= 0:
-            return _Frame([], (), None, (), True)
+            return _Frame([], (), None, (("repl-depth-truncated", None),))
         # lazy unfolding: one copy covers single-participant transitions;
         # !P itself persists in targets.  Copies are alpha-equivalent with
         # free-name labels, so a second copy (for copy-to-copy syncs) is
@@ -444,17 +438,20 @@ def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
         if any(t.shape is Concretion and t.chan in ins for t in moves):
             second = _copy(p, depth - 1, counter)
             moves += _syncs(copy, second, persist=p)
-            diagnostics = _merged(diagnostics, second.diagnostics)
+            diagnostics += second.diagnostics
         elif any(t.shape is not Proc for t in moves):
             counter[0] += counter[0] - before
-        return _Frame(moves, (), None, diagnostics, copy.truncated)  # alike copies are cut alike
+        return _Frame(moves, (), None, diagnostics)
     raise TypeError(p)
 
 
 def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = None) -> Enumeration:
+    """p's moves, and the diagnostics met in walk order, each once; a cut reads ``repl_depth=D``."""
     counter = [0] if counter is None else counter
     f = _trans(p, depth, counter)
-    return Enumeration(f, list(f.diagnostics), f.truncated, counter)
+    cut = ("repl-depth-truncated", f"repl_depth={depth}")
+    diagnostics = [cut if d[0] == cut[0] else d for d in dict.fromkeys(f.diagnostics)]
+    return Enumeration(f, diagnostics, cut in diagnostics, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -704,10 +704,17 @@ class _Printer:
     def process(self, p: Process, level: int = 0) -> str:
         # level: 0 = parallel context, 1 = sum context, 2 = chain context
         if isinstance(p, Parallel):
-            # keep a right-nested parallel parenthesized so reparsing
-            # restores the same association
-            rlev = 1 if isinstance(p.right, Parallel) else 0
-            s = f"{self.process(p.left, 1)} || {self.process(p.right, rlev)}"
+            # the left spine prints flat; every component but the last
+            # prints in sum context, so a `new` there cannot swallow the
+            # next one, and a right-nested parallel stays parenthesized so
+            # reparsing restores the same association
+            rights = []
+            while isinstance(p, Parallel):
+                rights.append(p.right)
+                p = p.left
+            *init, last = [p, *reversed(rights)]
+            rlev = 1 if isinstance(last, Parallel) else 0
+            s = " || ".join([self.process(q, 1) for q in init] + [self.process(last, rlev)])
             return f"({s})" if level > 0 else s
         if isinstance(p, Sum):
             if not p.branches:

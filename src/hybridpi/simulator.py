@@ -174,8 +174,6 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
 
     while t < cfg.horizon - 1e-12:
         enum = discrete_transitions(p, REPL_DEPTH, counter=unfolds)
-        if enum.truncated:
-            enum.diagnostics.append(("repl-depth-truncated", f"repl_depth={REPL_DEPTH}"))
         diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
         moves = enum.frame.moves
         if rng is None:  # the first silent move, found without listing the others

@@ -25,6 +25,12 @@ def test_parse_prints_elaborated_term(hpc, capsys):
     assert "const k = 2;" in out and "run a!<2>;" in out
 
 
+def test_parse_prints_a_flat_parallel_flat(hpc, capsys):
+    f = hpc("m.hpc", "run a!<> || b!<> || c!<> || (d!<> || e!<>);")
+    assert main(["parse", f]) == 0
+    assert capsys.readouterr().out == "run a!<> || b!<> || c!<> || (d!<> || e!<>);\n"
+
+
 def test_parse_error_is_model_exit(hpc, capsys):
     f = hpc("bad.hpc", "run a!<;")
     assert main(["parse", f]) == 3
@@ -140,6 +146,27 @@ def test_approx_report_is_the_same_for_every_jobs_value(hpc, tmp_path):
     assert reports[0] == reports[1]
     assert reports[0]["counterexample"]["scenario"] == 2
     assert [s["scenario"] for s in reports[0]["per_scenario"]] == [0, 1, 2]
+
+
+def test_approx_prints_each_runs_diagnostics(hpc, tmp_path, capsys):
+    # a's cell stops, then its guard over the unbound u is undefined
+    a = hpc("a.hpc", "run {0 | x' = 1 & x < 1} . [u < 1] . a!<>;")
+    b = hpc("b.hpc", "run {0 | x' = 1 & x < 1};")
+    sc = hpc("sc.json", json.dumps([{}, {}]))
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report{jobs}.json"
+        assert main(["approx", a, b, "--eps", "1", "--delta", "1", "--observe", "x", "--scenarios", sc,
+                     "--horizon", "2", "--jobs", jobs, "--out", str(out)]) == 0
+        runs.append((json.loads(out.read_text()), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    report, err = runs[0]
+    assert [s["diagnostics"] for s in report["per_scenario"]] == [{"a": [["undefined-guard", "run:1:28"]], "b": []}] * 2
+    assert err.splitlines() == [
+        f"warning: {a} scenario 0: undefined-guard at run:1:28",
+        f"warning: {a} scenario 1: undefined-guard at run:1:28",
+        "consistent: max distance 0, max skew 0",
+    ]
 
 
 def test_approx_jobs_parse_error_is_model_exit(hpc, capsys):
@@ -333,6 +360,42 @@ def test_bisim_on_a_truncated_lts_is_inconclusive(hpc, capsys):
     assert main(["bisim", f, f, "--depth", "1"]) == 3
     err = capsys.readouterr().err
     assert f"inconclusive: {f} hit repl depth=1" in err and "holds" not in err
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_bisim_over_an_undefined_guard_is_inconclusive(hpc, capsys, mode):
+    guarded = hpc("g.hpc", "run [u < 1] . a!<>;")
+    nil = hpc("nil.hpc", "run 0;")
+    assert main(["bisim", guarded, nil, "--mode", mode]) == 3
+    assert capsys.readouterr().err == f"inconclusive: {guarded} undefined guard at run:1:5\n"
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_bisim_refutes_a_free_name_spelled_like_an_extruded_one(hpc, capsys, mode):
+    extruded = hpc("x.hpc", "run new a . d!<a>;")
+    free = hpc("f.hpc", "run d!<priv0>;")
+    assert main(["bisim", extruded, free, "--mode", mode]) == 1
+    assert capsys.readouterr().err == f"{mode} bisimulation: refuted\n"
+
+
+def test_lts_prints_diagnostics_as_warnings(hpc, capsys):
+    f = hpc("g.hpc", "run [u < 1] . a!<>;")
+    assert main(["lts", f]) == 0
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)) == {"initial", "states", "transitions", "bounded", "truncated", "skipped"}
+    assert err == "warning: undefined-guard at run:1:5\nstates=1 bounded=False truncated=False skipped=0\n"
+
+
+@pytest.mark.parametrize("command", ["lts", "bisim"])
+@pytest.mark.parametrize("flag, message", [
+    ("--max-states", "max_states must be at least 1, got -1"),
+    ("--depth", "repl_depth must be at least 0, got -1"),
+])
+def test_bounds_that_bound_nothing_are_model_exit(hpc, capsys, command, flag, message):
+    f = hpc("a.hpc", "run a!<>;")
+    files = [f] if command == "lts" else [f, f]
+    assert main([command, *files, flag, "-1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_lts_summary_names_truncation(hpc, tmp_path, capsys):

@@ -226,10 +226,11 @@ def test_diagnostics_and_truncation_survive_memo_hits():
     p = refresh(parse_term("tau . 0 || ([u < 1] . a!<> || repl repl b!<>)"))
     first = discrete_transitions(p, 1)
     guard = ("undefined-guard", p.right.left.tag)
-    assert first.diagnostics == [guard] and first.truncated
+    cut = ("repl-depth-truncated", "repl_depth=1")
+    assert first.diagnostics == [guard, cut] and first.truncated
     (i,) = [i for i, t in enumerate(first.frame.moves) if t.shape is Proc]
     succ = first.agent(i).body
     assert succ.right is p.right and "_trans" in vars(p.right)
     again = discrete_transitions(succ, 1)
-    assert again.diagnostics == [guard] and again.truncated
+    assert again.diagnostics == [guard, cut] and again.truncated
     assert not again.frame.moves

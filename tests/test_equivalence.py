@@ -31,9 +31,9 @@ from hybridpi.equivalence import (
 )
 from hybridpi.flows import eval_expr
 from hybridpi.kernel import ContinuousUnsupported, OpenSystem
-from hybridpi.parser import parse_term
+from hybridpi.parser import parse, parse_term
 from hybridpi.simulator import Environment, simulate
-from hybridpi.syntax import NIL, HpiError, Output, Parallel, Restriction, Replication, Sum, Var, fresh, prefixed, prune, refresh
+from hybridpi.syntax import NIL, Const, Guard, HpiError, Op, Output, Parallel, Restriction, Replication, Sum, Var, fresh, prefixed, prune, refresh
 from hybridpi.zoo import load
 from termgen import TermGen, random_terms
 
@@ -371,6 +371,43 @@ def test_api_verdict_over_a_cut_lts_is_none():
             assert check(cut, cut)[0] is None
 
 
+@pytest.mark.parametrize("check", [strong_bisim, weak_bisim])
+def test_api_verdict_over_an_undefined_guard_is_none(check):
+    # the guard reads u, which nothing binds: whether a!<> can happen is undecided
+    guarded = build_lts(parse("run [u < 1] . a!<>;").entry)
+    untagged = lts(Sum(((Guard(Op("<", (Var(fresh("u")), Const(1.0)))), NIL),)))
+    nil = lts("0")
+    assert guarded.cut == ["undefined guard at run:1:5"] and untagged.cut == ["undefined guard"]
+    assert not guarded.truncated and not guarded.bounded and not guarded.skipped
+    for cut in (guarded, untagged):
+        assert check(cut, nil)[0] is None and check(nil, cut)[0] is None
+
+
+def test_lts_keeps_each_diagnostic_once_in_walk_order():
+    # both states meet the same three
+    l = lts("tau . 0 || [u < 1] . a!<> || (repl repl b!<>) || [u < 2] . c!<>", repl_depth=1)
+    assert len(l.states) == 2 and l.truncated
+    assert l.cut == ["undefined guard at run:2:16", "hit repl depth=1", "undefined guard at run:2:54"]
+
+
+@pytest.mark.parametrize("check", [strong_bisim, weak_bisim])
+def test_an_extruded_name_never_matches_a_free_name_spelled_like_its_placeholder(check):
+    extruded, free = lts("new a . d!<a>"), lts("d!<priv0>")
+    assert [l for l, _ in extruded.transitions[extruded.initial]] == [("out", "d", (("priv", 0),))]
+    assert [l for l, _ in free.transitions[free.initial]] == [("out", "d", (("name", "priv0"),))]
+    assert check(extruded, free)[0] is False
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ({"max_states": 0}, "max_states must be at least 1, got 0"),
+    ({"repl_depth": -1}, "repl_depth must be at least 0, got -1"),
+])
+def test_build_lts_refuses_bounds_that_bound_nothing(bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lts("a!<>", **bounds)
+    assert len(lts("a!<>", max_states=1, repl_depth=0).states) == 1
+
+
 def raw_lts(p):
     """The LTS of p as written: build_lts with its prune/refresh of the
     initial term and of every target turned off."""
@@ -491,6 +528,16 @@ def test_approx_pool_names_the_scenario_of_a_dying_worker(tmp_path):
     assert re.fullmatch(r"scenario [0-2]: its worker process ended with exit code 9", message)
     assert rc == 3 and done.stderr == "error: scenario 1: its worker process ended with exit code 9\n"
     assert took < 5 and cli_took < 5 and left == []
+
+
+def test_approx_reports_each_runs_diagnostics_per_scenario():
+    # a's cell stops, then its guard over the unbound u is undefined
+    p = parse("run {0 | x' = 1 & x < 1} . [u < 1] . a!<>;").entry
+    q = parse("run {0 | x' = 1 & x < 1};").entry
+    for jobs in (1, 2):
+        v = approx_bisim(p, q, 1.0, 1e9, sim_config(2.0), scenarios=[None, None], observe=("x",), jobs=jobs)
+        assert v.status == "consistent"
+        assert [s["diagnostics"] for s in v.per_scenario] == [{"a": [("undefined-guard", "run:1:28")], "b": []}] * 2
 
 
 def test_approx_pool_runs_the_scenarios_in_workers_unless_threads_run():

@@ -4,6 +4,7 @@ import string
 
 import pytest
 
+from hybridpi.kernel import discrete_transitions
 from hybridpi.parser import ParseError, parse, parse_term, pretty
 from hybridpi.syntax import (
     NIL,
@@ -20,6 +21,8 @@ from hybridpi.syntax import (
     canonical_key,
     depth,
     free_names,
+    prune,
+    refresh,
 )
 from hybridpi.zoo import list_models, model_text
 from termgen import random_terms
@@ -126,6 +129,43 @@ def test_pretty_roundtrip_bundled_models():
             m = parse(model_text(fn), shared)
             again = parse_term(pretty(m.entry), shared)
             assert alpha_equivalent(again, m.entry), fn
+
+
+@pytest.mark.parametrize("src, printed", [
+    ("a!<> || b!<> || c!<> || (d!<> || e!<>)", "a!<> || b!<> || c!<> || (d!<> || e!<>)"),
+    ("(new x . x!<>) || (repl b!<>) || new y . y!<>", "(new x . x!<>) || (repl b!<>) || new y . y!<>"),
+    ("a!<> || (b!<> || new x . x!<>) || c!<>", "a!<> || (b!<> || new x . x!<>) || c!<>"),
+])
+def test_flat_parallels_print_flat(src, printed):
+    # the left spine prints without parentheses; a component that is not
+    # the last keeps them around a new or a repl, which would else swallow
+    # the components after it
+    shared: dict = {}
+    p = parse_term(src, shared)
+    assert pretty(p) == printed
+    assert alpha_equivalent(parse_term(printed, shared), p)
+
+
+# one term of each kind of nesting, each MAX_DEPTH deep
+DEEPEST = {
+    "prefix chain": "tau . " * (MAX_DEPTH - 1) + "0",
+    "new chain": "new a . " * (MAX_DEPTH - 1) + "0",
+    "repl chain": "repl " * (MAX_DEPTH - 2) + "a!<>",
+    "flat parallel": "a!<> || " * (MAX_DEPTH - 2) + "0",
+    "right-nested parallel": "a!<> || (" * (MAX_DEPTH - 2) + "0" + ")" * (MAX_DEPTH - 2),
+}
+
+
+@pytest.mark.parametrize("src", DEEPEST.values(), ids=list(DEEPEST))
+def test_every_term_the_parser_accepts_can_be_walked(src):
+    shared: dict = {}
+    p = parse_term(src, shared)
+    assert depth(p) == MAX_DEPTH
+    discrete_transitions(p)
+    q = prune(refresh(p))
+    canonical_key(q)
+    canonical_key(q, flatten=True)
+    assert alpha_equivalent(parse_term(pretty(p), shared), p)
 
 
 # canonical_key and pretty of one source per expression form; the literals
