@@ -559,7 +559,10 @@ def lipschitz_estimate(
 
 
 def suggest_step(eps: float, duration: float, lipschitz: float) -> float:
-    """Step-size heuristic with a 10x safety factor."""
+    """Step-size heuristic with a 10x safety factor; it tends to eps / (10*T) as L*T goes to 0."""
     if lipschitz <= 0:
         return duration / 10.0
-    return eps * lipschitz / (math.exp(lipschitz * duration) - 1.0) / 10.0
+    try:
+        return eps * lipschitz / math.expm1(lipschitz * duration) / 10.0
+    except OverflowError:
+        raise ValueError(f"exp(L*T) overflows for the Lipschitz estimate {lipschitz:.4g}; give --step") from None

@@ -14,7 +14,10 @@ index, then lifts its agent back up through the parallels and restrictions
 passed.  A replication's copy is the memoised moves of its body under a
 fresh unfold stamp, refreshed when one of its moves is committed or
 inspected; the refresh renews only the sums a run goes on to read.
-Continuous evolution integrates every active ODE cell jointly, as one system,
+A sum's frame, memoised for every depth (its moves never depend on the
+bound), is also where the continuous survey reads which of its branches
+are live, so each guard is evaluated once per node.  Continuous
+evolution integrates every active ODE cell jointly, as one system,
 with fixed-step RK4 and localizes boundary crossings by bisection; a step
 reports its duration, the ready set, the pruned successor, the cells that
 stopped and the joint flow of every cell variable.  The system's stepper is
@@ -212,8 +215,11 @@ def _agent_at(f: _Frame, i: int, persist: Optional[Replication] = None) -> Agent
 class Enumeration:
     frame: Optional[_Frame] = None  # the root's: its moves, shared with the nodes below
     diagnostics: list = field(default_factory=list)  # each once, in walk order
-    truncated: bool = False  # a repl-depth-truncated entry is in diagnostics
     counter: list = field(default_factory=lambda: [0])  # replication unfold stamps
+
+    @property
+    def truncated(self) -> bool:  # replication depth exhausted somewhere
+        return any(kind == "repl-depth-truncated" for kind, _ in self.diagnostics)
 
     @cached_property
     def transitions(self) -> list:  # a view per root move, its agent lifted when read
@@ -321,11 +327,12 @@ def _sum_transitions(p: Sum, diagnostics: list):
 
 # Process nodes are immutable and successor terms share untouched subtrees,
 # so each node memoises its enumeration's frame (see syntax.memo) with the
-# depth it was computed at.  A frame is a value that carries its own
-# diagnostics, so a hit replays nothing.  It lists its children's move
-# objects and adds only its own syncs, and it keeps the children's frames,
-# so a move's agent is lifted from what the enumeration that made it saw,
-# even once a child's memo is replaced.
+# depth it was computed at; a sum's with None, which every depth accepts,
+# since a sum's moves never depend on the bound.  A frame is a value that
+# carries its own diagnostics, so a hit replays nothing.  It lists its
+# children's move objects and adds only its own syncs, and it keeps the
+# children's frames, so a move's agent is lifted from what the enumeration
+# that made it saw, even once a child's memo is replaced.
 # Replication copies (and their unfold tags) freeze on first enumeration;
 # reruns start from a refreshed root, so the numbering stays reproducible.
 # A copy is its body's memoised moves under the copy's stamp, refreshed
@@ -338,9 +345,9 @@ def _trans(p: Process, depth: int, counter: list) -> _Frame:
         # distinguishable
         return _trans_inner(p, depth, counter)
     hit = getattr(p, "_trans", None)
-    if hit is not None and hit[0] == depth:
+    if hit is not None and (hit[0] == depth or hit[0] is None):
         return hit[1]
-    return memo(p, "_trans", (depth, _trans_inner(p, depth, counter)))[1]
+    return memo(p, "_trans", (None if isinstance(p, Sum) else depth, _trans_inner(p, depth, counter)))[1]
 
 
 def _syncs(left: _Frame, right: _Frame, persist: Optional[Process] = None) -> list:
@@ -445,13 +452,16 @@ def _trans_inner(p: Process, depth: int, counter: list) -> _Frame:
     raise TypeError(p)
 
 
-def discrete_transitions(p: Process, depth: int = 64, counter: Optional[list] = None) -> Enumeration:
+REPL_DEPTH = 64  # by default a replication unfolds at most this many times per enumeration
+
+
+def discrete_transitions(p: Process, depth: int = REPL_DEPTH, counter: Optional[list] = None) -> Enumeration:
     """p's moves, and the diagnostics met in walk order, each once; a cut reads ``repl_depth=D``."""
     counter = [0] if counter is None else counter
     f = _trans(p, depth, counter)
     cut = ("repl-depth-truncated", f"repl_depth={depth}")
     diagnostics = [cut if d[0] == cut[0] else d for d in dict.fromkeys(f.diagnostics)]
-    return Enumeration(f, diagnostics, cut in diagnostics, counter)
+    return Enumeration(f, diagnostics, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -488,37 +498,17 @@ def describe_ready(ready: frozenset) -> str:
 
 def _survey(p: Process, sv: Survey) -> frozenset:
     """Returns the visible ready set of p, accumulating cells and checks."""
-    if isinstance(p, Sum):
-        if not p.branches:
-            return frozenset()
-        cont_branch = None
-        waiting = []
-        live = 0
+    if isinstance(p, Sum):  # its enumeration decides which branches are live
+        moves = _trans(p, 0, None).moves
+        sv.urgent += [(t.kind, p.tag) for t in moves if t.shape is Proc]
         for pi, cont in p.branches:
-            if isinstance(pi, Tau):
-                sv.urgent.append(("tau", p.tag))
-                live += 1
-            elif isinstance(pi, Guard):
-                v = fl.eval_expr(pi.cond)
-                if v is True:
-                    sv.urgent.append(("pass", p.tag))
-                    live += 1
-            elif isinstance(pi, Continuous):
-                if cont_branch is None:
-                    cont_branch = (pi, cont)
-                live += 1
-            else:
-                waiting.append(pi)
-                live += 1
-        if cont_branch is not None:
-            pi, cont = cont_branch
-            sv.cells.append(_CellInfo(p, pi, cont))
-            return frozenset((pi.vars[i], pol) for i, pol in pi.ready)
-        if waiting:  # an input waits on the actuate side, an output on the sense side
-            return frozenset((pi.chan, not isinstance(pi, Input)) for pi in waiting)
-        if live == 0:
+            if isinstance(pi, Continuous):  # the first cell; its ready set is the sum's
+                sv.cells.append(_CellInfo(p, pi, cont))
+                return frozenset((pi.vars[i], pol) for i, pol in pi.ready)
+        if p.branches and not moves:
             sv.blocked.append(p.tag)
-        return frozenset()
+        # an input waits on the actuate side, an output on the sense side
+        return frozenset((t.chan, t.shape is Concretion) for t in moves if t.shape is not Proc)
     if isinstance(p, Parallel):
         rl = _survey(p.left, sv)
         rr = _survey(p.right, sv)

@@ -4,8 +4,8 @@ policies, and Zeno detection.
 
 Four fixed limits bound a run: more than ZENO_MAX_EVENTS discrete events
 within ZENO_WINDOW seconds aborts it as Zeno, more than MAX_EVENTS events
-in all is an error, and replication unfolds at most REPL_DEPTH times per
-enumeration.
+in all is an error, and replication unfolds at most REPL_DEPTH (the
+kernel's) times per enumeration.
 
 A run keeps the names restricted at the root of its term aside, in run
 order, and steps the body alone: the simulator commits only silent moves,
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import flows as fl
 from .kernel import (
+    REPL_DEPTH,
     IntegratorConfig,
     Proc,
     UrgencyViolation,
@@ -37,7 +38,6 @@ from .syntax import HpiError, Process, Restriction, Var, is_nil, prune, refresh,
 ZENO_MAX_EVENTS = 1000
 ZENO_WINDOW = 1.0
 MAX_EVENTS = 2_000_000
-REPL_DEPTH = 64
 
 
 @dataclass
@@ -202,11 +202,10 @@ def simulate(p: Process, cfg: SimConfig, env: Optional[Environment] = None) -> S
         try:
             res = continuous_step(p, horizon, cfg.integrator, values)
         except UrgencyViolation as e:
-            if not enum.truncated:
+            cut = next((tag for kind, tag in enum.diagnostics if kind == "repl-depth-truncated"), None)
+            if cut is None:
                 raise
-            raise UrgencyViolation(
-                f"{e}; replication unfolding was truncated at repl_depth={REPL_DEPTH}"
-            ) from None
+            raise UrgencyViolation(f"{e}; replication unfolding was truncated at {cut}") from None
         if res is None:
             if is_nil(prune(p)):
                 status = "inaction"
@@ -289,16 +288,19 @@ def detect_zeno(
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> list:
-    """All maximal discrete tau-sequences up to max_depth, as lists of
-    (kind, chan display) pairs.  Intended for small fragments only."""
+def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> tuple:
+    """``(traces, diagnostics)``: all maximal discrete tau-sequences up to
+    max_depth, as lists of (kind, chan display) pairs, and what the walk
+    left undecided, each once in walk order.  For small fragments only."""
     out: list = []
+    diagnostics: list = []
 
     def go(q: Process, acc: list, depth: int):
         if depth >= max_depth:
             out.append(acc)
             return
         enum = discrete_transitions(q, repl_depth)
+        diagnostics.extend(d for d in enum.diagnostics if d not in diagnostics)
         taus = [tr for tr in enum.transitions if tr.shape is Proc]
         if not taus:
             out.append(acc)
@@ -307,7 +309,7 @@ def exhaustive_traces(p: Process, max_depth: int = 8, repl_depth: int = 4) -> li
             go(prune(tr.agent.body), acc + [(tr.kind, tr.chan.display if tr.chan else None)], depth + 1)
 
     go(prune(refresh(p)), [], 0)
-    return out
+    return out, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,22 @@ def test_discretize_refuses_a_box_that_is_not_one(hpc, capsys, box):
     assert capsys.readouterr().err.startswith("error: box bounds must be finite with lo < hi")
 
 
+def test_discretize_refuses_a_lipschitz_estimate_whose_growth_overflows(hpc, capsys):
+    # exp(L*T) overflows for L = 1000 over 1 s: a model error, not a traceback
+    f = hpc("fast.hpc", "run {1 | x' = 1000 * x};")
+    assert main(["discretize", f, "--eps", "1e-3", "--duration", "1"]) == 3
+    assert capsys.readouterr().err == "error: exp(L*T) overflows for the Lipschitz estimate 1000; give --step\n"
+
+
+def test_discretize_of_a_slow_field_takes_the_small_growth_limit(hpc, capsys):
+    # exp(L*T) - 1 cancels to 0 for L = 1e-20; the step is the limit eps / (10*T)
+    f = hpc("slow.hpc", "run {1 | x' = 1e-20 * x};")
+    assert main(["discretize", f, "--eps", "1e-3", "--duration", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "estimated Lipschitz constant 1e-20, chose step 0.0001\n"
+    assert out.startswith("run ") and out.endswith(";\n")
+
+
 def test_certcheck_exit_codes(hpc, tmp_path, capsys):
     # the bundled pair has surfaced guard-edge violations: exit 1
     aut = hpc("h.json", model_text("automaton-h.json"))

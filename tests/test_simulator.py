@@ -134,11 +134,19 @@ def test_policy_random_is_seed_deterministic():
 
 def test_exhaustive_traces_cover_both_choices():
     p = parse_term("new a . (a(v) . tau || a!<1>)")
-    (trace,) = exhaustive_traces(p)
+    (trace,), _ = exhaustive_traces(p)
     assert [k for k, _ in trace] == ["sync", "tau"]
     q = parse_term("tau . b!<0> + [0 < 1] . tau || b(v)")
-    kinds = {tuple(k for k, _ in tr) for tr in exhaustive_traces(q)}
+    kinds = {tuple(k for k, _ in tr) for tr in exhaustive_traces(q)[0]}
     assert kinds == {("tau", "sync"), ("pass", "tau")}
+
+
+def test_exhaustive_traces_report_what_the_walk_left_undecided():
+    p = parse_term("repl repl repl tau . a!<>")
+    assert exhaustive_traces(p, max_depth=3, repl_depth=1) == ([[]], [("repl-depth-truncated", "repl_depth=1")])
+    q = parse_term("[u < 1] . tau . a!<> + tau")
+    assert exhaustive_traces(q, max_depth=3) == ([[("tau", None)]], [("undefined-guard", q.tag)])
+    assert exhaustive_traces(parse_term("tau . a!<>"))[1] == []
 
 
 TRACE_KIND = {"tau": "Tau", "pass": "Tau", "sync": "Sync", "sense": "Sense", "actuate": "Actuate"}
@@ -151,7 +159,7 @@ def test_first_policy_trace_is_a_prefix_of_an_exhaustive_path(seed):
     with mock.patch.object(simulator, "REPL_DEPTH", 4):
         res = simulate(p, sim_config(1.0))
     got = [(ev.kind, ev.chan) for ev in res.trace if ev.kind in TRACE_KIND.values()]
-    paths = [[(TRACE_KIND[k], c) for k, c in path] for path in exhaustive_traces(p, max_depth=32, repl_depth=4)]
+    paths = [[(TRACE_KIND[k], c) for k, c in path] for path in exhaustive_traces(p, max_depth=32, repl_depth=4)[0]]
     # policy first always takes the first transition, so it walks the first path
     assert got == paths[0][: len(got)]
 
